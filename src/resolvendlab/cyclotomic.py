@@ -1,8 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-An element of conductor m is a dense vector of phi(m) Fraction coefficients
-on the power basis 1, z, ..., z^{phi(m)-1}, always reduced modulo the m-th
-cyclotomic polynomial, so equality of values is equality of tuples.  Roots
+An element of conductor m is a dense vector of phi(m) integer numerators
+over one positive denominator on the power basis 1, z, ..., z^{phi(m)-1},
+always reduced modulo the m-th cyclotomic polynomial and divided through by
+the common content, so equality of values is equality of tuples.  Roots
 for different conductors are compatible through zeta_{mn}^n = zeta_m; mixed
 binary operations raise both operands to the lcm conductor first.
 
@@ -163,27 +164,55 @@ def _reduce_int_mod_cyclo(m, vec):
     return vec
 
 
-class CycloElement:
-    """Element of Q(zeta_m) in canonical reduced form."""
+def _canonical(conductor, num, den):
+    """The element with coefficients num[i] / den (den > 0) in canonical form.
 
-    __slots__ = ("conductor", "coeffs")
+    Canonical means gcd(den, *num) == 1, so the zero element has den 1 and
+    equal values have equal (num, den).
+    """
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+    x = object.__new__(CycloElement)
+    x.conductor = conductor
+    x.num = tuple(num)
+    x.den = den
+    return x
+
+
+class CycloElement:
+    """Element of Q(zeta_m) in canonical reduced form: the coefficient of
+    z^i is num[i] / den with gcd(den, *num) == 1 and den > 0."""
+
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor, coeffs):
         conductor = int(conductor)
         phi = euler_phi(conductor)
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(
                 "conductor %d needs %d coefficients, got %d" % (conductor, phi, len(coeffs))
             )
+        # the lcm of reduced denominators is already canonical
+        den = lcm(*(c.denominator for c in coeffs))
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.num)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, conductor=1):
-        return cls(conductor, (Fraction(0),) * euler_phi(conductor))
+        return _canonical(int(conductor), (0,) * euler_phi(conductor), 1)
 
     @classmethod
     def one(cls, conductor=1):
@@ -191,18 +220,23 @@ class CycloElement:
 
     @classmethod
     def from_rational(cls, value, conductor=1):
-        coeffs = [Fraction(0)] * euler_phi(conductor)
-        coeffs[0] = _as_fraction(value)
-        return cls(conductor, coeffs)
+        q = _as_fraction(value)
+        num = [0] * euler_phi(conductor)
+        num[0] = q.numerator
+        return _canonical(int(conductor), num, q.denominator)
 
     @classmethod
-    def from_terms(cls, conductor, terms):
-        """Canonical form of sum c * zeta_m^e over an iterable of (c, e)."""
+    def from_terms(cls, conductor, terms, den=1):
+        """Canonical form of (sum c * zeta_m^e) / den over an iterable of (c, e).
+
+        Terms are bucketed by exponent mod m first, so each exponent at or
+        above phi(m) costs one reduction row however many terms share it.
+        """
         conductor = int(conductor)
         phi = euler_phi(conductor)
-        rows = _reduction_rows(conductor) if conductor > 1 else None
         num = [0] * phi
-        den = 1
+        high = {}
+        tden = 1
         for c, e in terms:
             if isinstance(c, Fraction):
                 cn, cd = c.numerator, c.denominator
@@ -210,21 +244,27 @@ class CycloElement:
                 cn, cd = int(c), 1
             if not cn:
                 continue
-            if den % cd:
-                f = cd // gcd(den, cd)
+            if tden % cd:
+                f = cd // gcd(tden, cd)
                 num = [v * f for v in num]
-                den *= f
-            cn *= den // cd
+                high = {k: v * f for k, v in high.items()}
+                tden *= f
+            cn *= tden // cd
             e %= conductor
             if e < phi:
                 num[e] += cn
-            elif cn == 1:
-                num = [v + r for v, r in zip(num, rows[e - phi])]
-            elif cn == -1:
-                num = [v - r for v, r in zip(num, rows[e - phi])]
             else:
-                num = [v + cn * r for v, r in zip(num, rows[e - phi])]
-        return cls(conductor, [Fraction(v, den) for v in num])
+                high[e] = high.get(e, 0) + cn
+        if high:
+            rows = _reduction_rows(conductor)
+            for e, cn in high.items():
+                if cn == 1:
+                    num = [v + r for v, r in zip(num, rows[e - phi])]
+                elif cn == -1:
+                    num = [v - r for v, r in zip(num, rows[e - phi])]
+                elif cn:
+                    num = [v + cn * r for v, r in zip(num, rows[e - phi])]
+        return _canonical(conductor, num, tden * den)
 
     @classmethod
     def from_json(cls, doc):
@@ -234,13 +274,13 @@ class CycloElement:
     # -- structure ------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def as_rational(self):
         """The element as a Fraction, or None if it is irrational."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def raise_conductor(self, conductor):
         """Rewrite in Q(zeta_conductor); conductor must be a multiple of ours."""
@@ -253,20 +293,14 @@ class CycloElement:
             )
         step = conductor // self.conductor
         return CycloElement.from_terms(
-            conductor, ((c, i * step) for i, c in enumerate(self.coeffs) if c)
+            conductor, ((c, i * step) for i, c in enumerate(self.num) if c), self.den
         )
 
     def mul_root(self, e):
         """Product with zeta_m^e (e taken mod the conductor)."""
         return CycloElement.from_terms(
-            self.conductor, ((c, i + e) for i, c in enumerate(self.coeffs) if c)
+            self.conductor, ((c, i + e) for i, c in enumerate(self.num) if c), self.den
         )
-
-    def _int_form(self):
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     # -- arithmetic -----------------------------------------------------
 
@@ -283,7 +317,11 @@ class CycloElement:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloElement(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _canonical(a.conductor, [x + y for x, y in zip(a.num, b.num)], a.den)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _canonical(a.conductor, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
@@ -292,28 +330,29 @@ class CycloElement:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloElement(a.conductor, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _canonical(a.conductor, [x - y for x, y in zip(a.num, b.num)], a.den)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _canonical(a.conductor, [x * fa - y * fb for x, y in zip(a.num, b.num)], den)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return CycloElement(self.conductor, [-c for c in self.coeffs])
+        return _canonical(self.conductor, [-v for v in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
-            return CycloElement(self.conductor, [c * q for c in self.coeffs])
+            n = q.numerator
+            return _canonical(self.conductor, [v * n for v in self.num], self.den * q.denominator)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        na, da = a._int_form()
-        nb, db = b._int_form()
-        prod = _polymul_int(na, nb)
-        red = _reduce_int_mod_cyclo(a.conductor, prod)
-        den = da * db
-        return CycloElement(a.conductor, [Fraction(v, den) for v in red])
+        red = _reduce_int_mod_cyclo(a.conductor, _polymul_int(a.num, b.num))
+        return _canonical(a.conductor, red, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -369,10 +408,8 @@ class CycloElement:
             return r is not None and r == other
         if not isinstance(other, CycloElement):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        a, b = (self, other) if self.conductor == other.conductor else self._pair(other)
+        return a.num == b.num and a.den == b.den
 
     def __str__(self):
         parts = []
@@ -463,7 +500,7 @@ def galois_map(u, x):
     u = int(u)
     if gcd(u, m) != 1:
         raise ValueError("galois_map needs gcd(u, m) = 1, got u=%d mod m=%d" % (u, m))
-    return CycloElement.from_terms(m, ((c, i * u) for i, c in enumerate(x.coeffs) if c))
+    return CycloElement.from_terms(m, ((c, i * u) for i, c in enumerate(x.num) if c), x.den)
 
 
 def conjugate(x):

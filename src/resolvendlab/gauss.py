@@ -11,10 +11,15 @@ digit after embedding.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycloElement, _polymul_int, _reduce_int_mod_cyclo, root_of_unity
+from .cyclotomic import (
+    CycloElement,
+    _canonical,
+    _polymul_int,
+    _reduce_int_mod_cyclo,
+    root_of_unity,
+)
 from .numutil import discrete_log_table, is_odd_prime, least_primitive_root
 from .padic import (
     AT_CAP,
@@ -265,7 +270,7 @@ def _cyclic_pow(vec, e):
 
 
 def _cyclo_from_cyclic(m, vec):
-    return CycloElement(m, [Fraction(c) for c in _reduce_int_mod_cyclo(m, list(vec))])
+    return _canonical(m, _reduce_int_mod_cyclo(m, vec), 1)
 
 
 def power_sum_S(phi, n):

@@ -226,43 +226,61 @@ def resolvend_to_map(r):
     )
 
 
+def _common_terms(values, conductor):
+    """The nonzero values raised to the conductor over one denominator.
+
+    Returns (support, den): support lists (key, [(i, n_i), ...]) with
+    value = sum n_i zeta^i / den for each key whose value is nonzero.
+    """
+    raised = [(k, v.raise_conductor(conductor)) for k, v in values.items() if not v.is_zero()]
+    den = lcm(*(v.den for _, v in raised))
+    support = [
+        (k, [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c]) for k, v in raised
+    ]
+    return support, den
+
+
+def _root_sum(conductor, support, den, exponent):
+    """sum over the support of value(key) * zeta^exponent(key), in one
+    from_terms pass."""
+    terms = []
+    for k, pairs in support:
+        e = exponent(k)
+        terms.extend((c, i + e) for i, c in pairs)
+    return CycloElement.from_terms(conductor, terms, den)
+
+
 def resolvent(a, chi):
     """(a | chi) = sum_s a(s) chi(s)^{-1}, exact in Q(zeta_N)."""
-    total = CycloElement.zero(a.conductor)
-    for s, v in a.values.items():
-        if not v.is_zero():
-            e = _root_exponent(a.group, a.conductor, chi, s, -1)
-            total = total + v.raise_conductor(a.conductor).mul_root(e)
-    return total
+    support, den = _common_terms(a.values, a.conductor)
+    return _root_sum(
+        a.conductor, support, den, lambda s: _root_exponent(a.group, a.conductor, chi, s, -1)
+    )
 
 
 def transform(r):
     """Evaluate sum_s c_s s at every character: chi -> sum_s c_s chi(s)."""
-    out = {}
-    for chi in dual_enumerate(r.group):
-        total = CycloElement.zero(r.conductor)
-        for s, v in r.values.items():
-            if not v.is_zero():
-                e = _root_exponent(r.group, r.conductor, chi, s, +1)
-                total = total + v.raise_conductor(r.conductor).mul_root(e)
-        out[chi] = total
-    return CharacterVector(r.group, r.conductor, out)
+    group, n = r.group, r.conductor
+    support, den = _common_terms(r.values, n)
+    out = {
+        chi: _root_sum(n, support, den, lambda s: _root_exponent(group, n, chi, s, +1))
+        for chi in dual_enumerate(group)
+    }
+    return CharacterVector(group, n, out)
 
 
 def inverse_transform(phi):
     """Recover the map a with resolvent(a, chi) = phi(chi) for all chi:
     a(s) = (1/|G|) sum_chi phi(chi) chi(s)."""
-    group = phi.group
-    order = group.order
-    out = {}
-    for s in group.elements():
-        total = CycloElement.zero(phi.conductor)
-        for chi, v in phi.values.items():
-            if not v.is_zero():
-                e = _root_exponent(group, phi.conductor, chi, s, +1)
-                total = total + v.raise_conductor(phi.conductor).mul_root(e)
-        out[s] = total * Fraction(1, order)
-    return GroupMap(group, phi.conductor, out)
+    group, n = phi.group, phi.conductor
+    support, den = _common_terms(phi.values, n)
+    out = {
+        s: _root_sum(
+            n, support, den * group.order, lambda chi: _root_exponent(group, n, chi, s, +1)
+        )
+        for s in group.elements()
+    }
+    return GroupMap(group, n, out)
 
 
 def involution(r):

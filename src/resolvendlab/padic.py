@@ -10,7 +10,6 @@ exact, anything at or above it is reported as AT_CAP.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -259,14 +258,15 @@ def embed_cyclo(x, p, precision):
     y = x.raise_conductor(target)
     mod = p ** int(precision)
     omega = _teichmuller_powers(p, precision)
+    # den is the lcm of the reduced coefficient denominators
+    if y.den % p == 0:
+        raise ValueError("denominator %d is divisible by p = %d" % (y.den, p))
+    inv_den = pow(y.den, -1, mod)
     acc = [0] * (p - 1)
-    for e, c in enumerate(y.coeffs):
+    for e, c in enumerate(y.num):
         if not c:
             continue
-        if c.denominator % p == 0:
-            raise ValueError("denominator %d is divisible by p = %d" % (c.denominator, p))
-        scalar = c.numerator * pow(c.denominator, -1, mod) % mod
-        scalar = scalar * omega[e % (p - 1)] % mod
+        scalar = c * inv_den % mod * omega[e % (p - 1)] % mod
         slot = (-e) % p
         if slot == p - 1:
             for i in range(p - 1):

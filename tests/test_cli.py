@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -149,3 +150,23 @@ def test_gauss_n_filter(capsys):
     out = capsys.readouterr().out
     assert "n3" in out and "n2" not in out
     assert main(["verify", "gauss", "--p", "7", "--n", "4"]) == 2
+
+
+# md5 of the JSON report as the CLI prints it; a change to number
+# representation or report assembly must leave these bytes alone
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "verify groupring --group 15 --group 3,3 --trials 3 --format json",
+            "adfa6b8bcd99df6a009e8ee5bc70b35b",
+        ),
+        ("verify gauss --pmax 13 --format json", "2a60d9eee1cdafe79bee80bd53bd7104"),
+        ("verify wild --format json", "85f7787e2e2478bd0aab545afe38b5cf"),
+    ],
+    ids=["groupring", "gauss", "wild"],
+)
+def test_report_bytes_pinned(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == digest

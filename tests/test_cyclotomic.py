@@ -1,15 +1,21 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import (
     CycloElement,
+    _polymul_frac,
+    _reduce_frac_mod,
     conjugate,
     cyclotomic_polynomial,
     galois_map,
     root_of_unity,
 )
+from resolvendlab.numutil import euler_phi
 
 
 def test_cyclotomic_polynomial():
@@ -160,6 +166,55 @@ def test_pow():
     assert z ** 7 == CycloElement.one(7)
     assert z ** -1 == root_of_unity(7, 4)
     assert (z + CycloElement.one(7)) ** 0 == CycloElement.one(7)
+
+
+_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=36)
+
+
+@st.composite
+def _vectors(draw, count):
+    """A conductor up to 60 and count Fraction vectors of length phi(m)."""
+    m = draw(st.integers(min_value=1, max_value=60))
+    phi = euler_phi(m)
+    vec = st.lists(_fractions, min_size=phi, max_size=phi)
+    return m, [draw(vec) for _ in range(count)]
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.conductor)
+
+
+_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@_property
+@given(_vectors(1))
+def test_canonical_form_and_views(data):
+    m, (vec,) = data
+    x = CycloElement(m, vec)
+    _assert_canonical(x)
+    reduced = tuple(Fraction(c) for c in vec)
+    assert x.coeffs == reduced
+    assert x.to_json() == [m, [[c.numerator, c.denominator] for c in reduced]]
+    assert CycloElement.from_json(x.to_json()) == x
+    assert x.is_zero() == (not any(reduced))
+
+
+@_property
+@given(_vectors(2))
+def test_arithmetic_matches_fraction_reference(data):
+    # reference route: one Fraction per coefficient, schoolbook product
+    m, (u, v) = data
+    x, y = CycloElement(m, u), CycloElement(m, v)
+    total, diff, prod = x + y, x - y, x * y
+    for z in (total, diff, prod, -x, x * Fraction(-3, 4)):
+        _assert_canonical(z)
+    assert total.coeffs == tuple(a + b for a, b in zip(u, v))
+    assert diff.coeffs == tuple(a - b for a, b in zip(u, v))
+    assert prod.coeffs == tuple(_reduce_frac_mod(m, _polymul_frac(list(u), list(v))))
+    assert (x * Fraction(-3, 4)).coeffs == tuple(a * Fraction(-3, 4) for a in u)
 
 
 def _gcd(a, b):
