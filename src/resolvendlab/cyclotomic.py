@@ -10,11 +10,14 @@ binary operations raise both operands to the lcm conductor first.
 Coefficient work is done on integer vectors over a common denominator.
 Dense products go through a packed big-integer multiply so that conductors
 in the low thousands stay cheap; sums of roots of unity go through a cached
-monomial-reduction table.
+monomial-reduction table.  The same product, the x^m = 1 fold and the
+square-and-multiply helper also serve Z_p[zeta_p] (padic) and Z[x]/(x^m - 1)
+(gauss).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -139,16 +142,36 @@ def _reduction_rows(m):
     return tuple(rows)
 
 
+def _fold(vec, m):
+    """vec reduced by x^m = 1: the length-m list whose slot i sums vec[k]
+    over k = i mod m."""
+    out = list(vec[:m])
+    out += [0] * (m - len(out))
+    for start in range(m, len(vec), m):
+        chunk = vec[start : start + m]
+        out[: len(chunk)] = [a + b for a, b in zip(out, chunk)]
+    return out
+
+
+def _power(base, k, mul):
+    """base ** k for k >= 1 by left-to-right square-and-multiply.
+
+    Starting from base rather than a unit, this costs one squaring per bit
+    of k after the first and one product per further set bit.
+    """
+    result = base
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 def _reduce_int_mod_cyclo(m, vec):
     """Reduce an integer coefficient vector mod Phi_m; returns length phi(m)."""
     phi = euler_phi(m)
-    vec = list(vec)
     # x^m = 1 holds mod Phi_m, so fold high exponents first
-    for k in range(len(vec) - 1, m - 1, -1):
-        c = vec[k]
-        if c:
-            vec[k - m] += c
-    del vec[m:]
+    vec = _fold(vec, m) if len(vec) > m else list(vec)
     if len(vec) > phi:
         tail_nz = _phi_tail(m)
         for k in range(len(vec) - 1, phi - 1, -1):
@@ -373,14 +396,9 @@ class CycloElement:
         k = int(k)
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycloElement.one(self.conductor)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return CycloElement.one(self.conductor)
+        return _power(self, k, operator.mul)
 
     def inverse(self):
         """Multiplicative inverse via the extended euclidean algorithm

@@ -16,7 +16,9 @@ from functools import lru_cache
 from .cyclotomic import (
     CycloElement,
     _canonical,
+    _fold,
     _polymul_int,
+    _power,
     _reduce_int_mod_cyclo,
     root_of_unity,
 )
@@ -243,32 +245,6 @@ def character_sum_identity(phi, j):
     return lhs == rhs
 
 
-def _cyclic_mul(a, b):
-    """Product in Z[x]/(x^m - 1) on length-m integer vectors."""
-    m = len(a)
-    full = _polymul_int(a, b)
-    folded = full[:m] + [0] * (m - len(full))
-    for i in range(m, len(full)):
-        folded[i - m] += full[i]
-    return folded
-
-
-def _cyclic_pow(vec, e):
-    m = len(vec)
-    result = None
-    sq = list(vec)
-    while e:
-        if e & 1:
-            result = sq if result is None else _cyclic_mul(result, sq)
-        e >>= 1
-        if e:
-            sq = _cyclic_mul(sq, sq)
-    if result is None:
-        result = [0] * m
-        result[0] = 1
-    return result
-
-
 def _cyclo_from_cyclic(m, vec):
     return _canonical(m, _reduce_int_mod_cyclo(m, vec), 1)
 
@@ -294,11 +270,15 @@ def power_sum_S(phi, n):
     step = (p - 1) // n
     svec = [0] * m
     base_pow = None
+
+    def cyclic_mul(a, b):  # the product of Z[x]/(x^m - 1)
+        return _fold(_polymul_int(a, b), m)
+
     for j in range(1, p):
         vec = [0] * m
         for k in range(1, p):
             vec[(p * ((dlog[k] * step) % (p - 1)) + (p - 1) * ((j * k) % p)) % m] += 1
-        powed = _cyclic_pow(vec, n)
+        powed = _power(vec, n, cyclic_mul)
         if j == 1:
             base_pow = powed
         svec = [a + b for a, b in zip(svec, powed)]

@@ -283,13 +283,6 @@ def inverse_transform(phi):
     return GroupMap(group, n, out)
 
 
-def involution(r):
-    """The Q(zeta_N)-linear map s -> s^{-1} on the group ring."""
-    return GroupRingElement(
-        r.group, r.conductor, {s: r.values[s.inverse()] for s in r.group.elements()}
-    )
-
-
 def is_unit(r):
     """A group-ring element is a unit iff its transform never vanishes."""
     return all(not v.is_zero() for v in transform(r).values.values())

@@ -1,31 +1,55 @@
 """Small number-theory lookups shared across modules.
 
-Thin cached wrappers over sympy's ntheory functions, so every module agrees
-on conventions (in particular: "the" primitive root mod p is the least one).
+Everything rests on one trial-division factoriser, which is ample for the
+moduli this package works with, and every derived lookup is cached so all
+modules agree on conventions (in particular: "the" primitive root mod p is
+the least one).
 """
 
 from functools import lru_cache
 
-from sympy import divisors as _divisors
-from sympy import isprime as _isprime
-from sympy import primitive_root as _primitive_root
-from sympy import totient as _totient
+
+def factorize(n):
+    """Prime factorisation of n >= 1 as ((prime, exponent), ...), primes ascending."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n should be a positive integer, got %r" % (n,))
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out.append((q, e))
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def divisor_list(m):
     """Sorted positive divisors of m."""
-    return tuple(int(d) for d in _divisors(int(m)))
+    divs = [1]
+    for q, e in factorize(m):
+        divs = [d * q**k for d in divs for k in range(e + 1)]
+    return tuple(sorted(divs))
 
 
 @lru_cache(maxsize=None)
 def euler_phi(m):
-    return int(_totient(int(m)))
+    out = 1
+    for q, e in factorize(m):
+        out *= q ** (e - 1) * (q - 1)
+    return out
 
 
 @lru_cache(maxsize=None)
 def is_prime(n):
-    return bool(_isprime(int(n)))
+    n = int(n)
+    return n > 1 and factorize(n) == ((n, 1),)
 
 
 def is_odd_prime(p):
@@ -34,14 +58,15 @@ def is_odd_prime(p):
 
 @lru_cache(maxsize=None)
 def least_primitive_root(p):
-    """The least primitive root mod the odd prime p.
-
-    sympy's primitive_root already returns the smallest one; the test suite
-    re-checks that by brute force so the convention stays pinned.
-    """
+    """The least primitive root mod the odd prime p: the first g = 2, 3, ...
+    with g^((p-1)/q) != 1 mod p for every prime q dividing p - 1."""
     if not is_odd_prime(p):
         raise ValueError("least_primitive_root needs an odd prime, got %r" % (p,))
-    return int(_primitive_root(p))
+    cofactors = [(p - 1) // q for q, _ in factorize(p - 1)]
+    g = 2
+    while any(pow(g, c, p) == 1 for c in cofactors):
+        g += 1
+    return g
 
 
 @lru_cache(maxsize=None)

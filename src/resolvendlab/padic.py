@@ -10,9 +10,11 @@ exact, anything at or above it is reported as AT_CAP.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import comb
 
+from .cyclotomic import _polymul_int, _power, _reduce_int_mod_cyclo
 from .numutil import is_odd_prime, least_primitive_root
 
 
@@ -112,23 +114,8 @@ class PadicCycloElement:
         if not isinstance(other, PadicCycloElement):
             return NotImplemented
         self._check(other)
-        n = self.p - 1
-        mod = self.modulus
-        conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] = (conv[i + j] + a * b) % mod
-        # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-        for e in range(2 * n - 2, n - 1, -1):
-            c = conv[e]
-            if c:
-                conv[e] = 0
-                base = e - n
-                for i in range(n):
-                    conv[base + i] -= c
-        return PadicCycloElement(self.p, self.precision, conv[:n])
+        prod = _reduce_int_mod_cyclo(self.p, _polymul_int(self.coeffs, other.coeffs))
+        return PadicCycloElement(self.p, self.precision, prod)
 
     __rmul__ = __mul__
 
@@ -136,14 +123,9 @@ class PadicCycloElement:
         k = int(k)
         if k < 0:
             raise ValueError("negative powers are not defined in Z_p[zeta_p]")
-        result = PadicCycloElement.one(self.p, self.precision)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return PadicCycloElement.one(self.p, self.precision)
+        return _power(self, k, operator.mul)
 
     def truncate(self, precision):
         """The same element at a lower precision."""
@@ -274,21 +256,3 @@ def embed_cyclo(x, p, precision):
         else:
             acc[slot] += scalar
     return PadicCycloElement(p, precision, acc)
-
-
-def zeta_substitute(x, u):
-    """The ring map zeta -> zeta^u on Z_p[zeta_p], u nonzero mod p."""
-    p = x.p
-    u = int(u) % p
-    if u == 0:
-        raise ValueError("zeta substitution needs u nonzero mod p")
-    acc = [0] * (p - 1)
-    for i, c in enumerate(x.coeffs):
-        if c:
-            slot = i * u % p
-            if slot == p - 1:
-                for t in range(p - 1):
-                    acc[t] -= c
-            else:
-                acc[slot] += c
-    return PadicCycloElement(p, x.precision, acc)

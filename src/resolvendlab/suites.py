@@ -39,7 +39,7 @@ from .groupring import (
     unit_inverse,
     unit_pair_check,
 )
-from .numutil import divisor_list, euler_phi, is_odd_prime
+from .numutil import divisor_list, euler_phi, factorize, is_odd_prime
 from .ramify import (
     RamificationFiltration,
     classify,
@@ -416,7 +416,7 @@ def _stickelberger_group_task(literal, seed, trials):
             )
         )
         mexp = group.exponent
-        units = [u for u in range(1, mexp) if _coprime(u, mexp)]
+        units = [u for u in range(1, mexp) if gcd(u, mexp) == 1]
         ok = True
         for chi in chars:
             base = stickelberger_map(VirtualCharacter.single(chi))
@@ -438,10 +438,6 @@ def _stickelberger_group_task(literal, seed, trials):
         return recs
 
     return task
-
-
-def _coprime(a, b):
-    return gcd(a, b) == 1
 
 
 def run_stickelberger(config):
@@ -705,23 +701,6 @@ def run_groupring(config):
 # -- ramify --------------------------------------------------------------
 
 
-def _prime_power_base(g):
-    """The prime p with g = p^r, or None."""
-    if g < 2:
-        return None
-    p = 2
-    x = g
-    while p * p <= x:
-        if x % p == 0:
-            break
-        p += 1
-    else:
-        p = x
-    while x % p == 0:
-        x //= p
-    return p if x == 1 else None
-
-
 def _ramify_task(max_order):
     def task():
         recs = []
@@ -736,8 +715,9 @@ def _ramify_task(max_order):
             v_sqrt = None
             ok = dv >= 0
             if kind == "weak-wild" and f.order(0) == f.order(1):
-                p = _prime_power_base(f.order(0))
-                if p is not None:
+                primes = factorize(f.order(0))
+                if len(primes) == 1:
+                    p = primes[0][0]
                     v_sqrt = sqrt_inverse_different_valuation(f, p)
                     sqrt_cases += 1
                     good = v_sqrt == 1 - f.order(0) and dv == 2 * (f.order(0) - 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +171,13 @@ def test_report_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+def test_readme_cli_examples(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split() for line in block.splitlines() if line.startswith("resolvend-lab ")]
+    assert commands
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
+    capsys.readouterr()

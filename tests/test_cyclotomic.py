@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import (
     CycloElement,
+    _fold,
     _polymul_frac,
     _reduce_frac_mod,
     conjugate,
@@ -215,6 +216,36 @@ def test_arithmetic_matches_fraction_reference(data):
     assert diff.coeffs == tuple(a - b for a, b in zip(u, v))
     assert prod.coeffs == tuple(_reduce_frac_mod(m, _polymul_frac(list(u), list(v))))
     assert (x * Fraction(-3, 4)).coeffs == tuple(a * Fraction(-3, 4) for a in u)
+
+
+@_property
+@given(_vectors(1))
+def test_pow_matches_repeated_product(data):
+    m, (vec,) = data
+    x = CycloElement(m, vec)
+    expect = CycloElement.one(m)
+    for k in range(10):
+        assert x**k == expect
+        expect = expect * x
+    # the Fraction-based inverse slows sharply with phi(m), so negative
+    # powers are checked on the smaller fields only
+    if not x.is_zero() and len(vec) <= 12:
+        inv, expect = x.inverse(), CycloElement.one(m)
+        for k in range(1, 4):
+            expect = expect * inv
+            assert x**-k == expect
+
+
+@_property
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.lists(st.integers(-(10**6), 10**6), max_size=200),
+)
+def test_fold_matches_modular_accumulation(m, vec):
+    direct = [0] * m
+    for k, c in enumerate(vec):
+        direct[k % m] += c
+    assert _fold(vec, m) == direct
 
 
 def _gcd(a, b):

@@ -9,7 +9,6 @@ from resolvendlab.groupring import (
     GroupMap,
     GroupRingElement,
     inverse_transform,
-    involution,
     is_unit,
     reduced_equal,
     resolvend,
@@ -113,15 +112,16 @@ def test_convolution_diagonalization():
 
 
 def test_involution():
+    # resolvend applied to a group-ring element is the involution s -> s^{-1}
     g = FiniteAbelianGroup((7,))
-    assert involution(GroupRingElement.identity(g, 7)) == GroupRingElement.identity(g, 7)
+    assert resolvend(GroupRingElement.identity(g, 7)) == GroupRingElement.identity(g, 7)
     s0 = g.element((3,))
     r = resolvend(GroupMap.indicator(g, 7, s0))
-    assert involution(r)(s0) == r(s0.inverse())
+    assert resolvend(r)(s0) == r(s0.inverse())
     rng = random.Random("involution")
     for _ in range(10):
         r = resolvend(_random_map(rng, g, 7))
-        tr = transform(involution(r))
+        tr = transform(resolvend(r))
         base = transform(r)
         for chi in dual_enumerate(g):
             assert tr(chi) == base(chi.inverse())

@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
+
 from resolvendlab.numutil import (
     discrete_log_table,
     divisor_list,
     euler_phi,
+    factorize,
     is_odd_prime,
     is_prime,
     least_primitive_root,
 )
+
+_BRUTE_LIMIT = 2000
 
 
 def test_divisor_list():
@@ -38,10 +47,13 @@ def test_least_primitive_root():
     assert least_primitive_root(5) == 2
     assert least_primitive_root(7) == 3
     assert least_primitive_root(23) == 5
-    for p in (3, 5, 7, 11, 13, 31):
-        rho = least_primitive_root(p)
-        seen = {pow(rho, e, p) for e in range(p - 1)}
-        assert len(seen) == p - 1
+    for p in range(3, _BRUTE_LIMIT, 2):
+        if not is_prime(p):
+            continue
+        g = 2
+        while len({pow(g, e, p) for e in range(p - 1)}) != p - 1:
+            g += 1
+        assert least_primitive_root(p) == g
 
 
 def test_discrete_log_table():
@@ -51,3 +63,25 @@ def test_discrete_log_table():
         assert sorted(table) == list(range(1, p))
         for k, e in table.items():
             assert pow(rho, e, p) == k
+
+
+def test_factorize():
+    assert factorize(1) == ()
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert factorize(1999) == ((1999, 1),)
+
+
+def test_lookups_match_brute_force():
+    for n in range(1, _BRUTE_LIMIT):
+        divs = tuple(d for d in range(1, n + 1) if n % d == 0)
+        assert divisor_list(n) == divs
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert is_prime(n) == (divs == (1, n))
+    assert not is_prime(0)
+
+
+def test_import_leaves_sympy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, resolvendlab; sys.exit('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0

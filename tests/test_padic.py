@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.padic import (
@@ -150,6 +152,38 @@ def test_precision_error_carries_hint():
     err = PrecisionError("too small", suggested_precision=4)
     assert isinstance(err, ValueError)
     assert err.suggested_precision == 4
+
+
+def _schoolbook_mul(p, a, b):
+    """Reference product: multiply mod zeta^p - 1, then subtract the top
+    coefficient, since zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})."""
+    conv = [0] * p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[(i + j) % p] += x * y
+    return [c - conv[-1] for c in conv[:-1]]
+
+
+@st.composite
+def _padic_pair(draw):
+    # p = 47 has (p - 1)^2 above the schoolbook cutoff, so it runs the packed path
+    p = draw(st.sampled_from((3, 5, 31, 47)))
+    M = draw(st.integers(min_value=1, max_value=6))
+    vec = st.lists(st.integers(0, p**M - 1), min_size=p - 1, max_size=p - 1)
+    return p, M, draw(vec), draw(vec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_padic_pair())
+def test_mul_and_pow_match_schoolbook(data):
+    p, M, a, b = data
+    mod = p**M
+    x, y = PadicCycloElement(p, M, a), PadicCycloElement(p, M, b)
+    assert (x * y).coeffs == tuple(c % mod for c in _schoolbook_mul(p, a, b))
+    expect = [1] + [0] * (p - 2)
+    for k in range(10):
+        assert (x**k).coeffs == tuple(c % mod for c in expect)
+        expect = [c % mod for c in _schoolbook_mul(p, expect, a)]
 
 
 def _random_padic(rng, p, M):
