@@ -10,9 +10,9 @@ binary operations raise both operands to the lcm conductor first.
 Coefficient work is done on integer vectors over a common denominator.
 Dense products go through a packed big-integer multiply so that conductors
 in the low thousands stay cheap; sums of roots of unity go through a cached
-monomial-reduction table.  The same product, the x^m = 1 fold and the
-square-and-multiply helper also serve Z_p[zeta_p] (padic) and Z[x]/(x^m - 1)
-(gauss).
+monomial-reduction table.  The same product and the x^m = 1 fold also
+serve Z_p[zeta_p] (padic); the square-and-multiply helper serves padic and
+the packed gauss power sums in Z[y]/(y^{pn} - 1) as well.
 """
 
 from __future__ import annotations

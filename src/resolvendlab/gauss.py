@@ -16,8 +16,6 @@ from functools import lru_cache
 from .cyclotomic import (
     CycloElement,
     _canonical,
-    _fold,
-    _polymul_int,
     _power,
     _reduce_int_mod_cyclo,
     root_of_unity,
@@ -249,15 +247,59 @@ def _cyclo_from_cyclic(m, vec):
     return _canonical(m, _reduce_int_mod_cyclo(m, vec), 1)
 
 
+def _cyclic_power(vec, k):
+    """vec ** k in Z[y]/(y^L - 1), L = len(vec), for a non-negative integer
+    vector vec and k >= 1.
+
+    The vector stays packed in one big integer at y = 2^(8 * slot bytes)
+    from the first product to the last.  Every coefficient of a power of
+    exponent e is at most sum(vec)^e, so before each product the slots are
+    widened to hold that bound with the top bit clear: no slot carries, and
+    the cyclic fold y^L = 1 is one mask, one shift and one add.
+    """
+    L = len(vec)
+    mass = sum(vec)
+
+    def width(e):
+        return (mass**e).bit_length() // 8 + 1
+
+    def widen(x, nbytes, to):
+        if nbytes == to:
+            return x
+        raw = x.to_bytes(L * nbytes, "little")
+        slots = [raw[i : i + nbytes] for i in range(0, L * nbytes, nbytes)]
+        return int.from_bytes(bytes(to - nbytes).join(slots), "little")
+
+    def mul(a, b):  # (packed int, slot bytes, exponent) triples
+        e = a[2] + b[2]
+        nbytes = width(e)
+        bits = 8 * nbytes * L
+        x = widen(a[0], a[1], nbytes)
+        z = x * x if a is b else x * widen(b[0], b[1], nbytes)
+        return (z & ((1 << bits) - 1)) + (z >> bits), nbytes, e
+
+    nbytes = width(1)
+    packed = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in vec), "little")
+    packed, nbytes, _ = _power((packed, nbytes, 1), k, mul)
+    raw = packed.to_bytes(L * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, L * nbytes, nbytes)]
+
+
 def power_sum_S(phi, n):
     """S = sum over nonzero j of G(phi, j)^n, with its two certificates.
 
     Returns (S, exact, bounded): exact is the equality S = (p-1) G(phi, 1)^n
     checked in canonical form, bounded is the p-adic statement that S has
     pi-valuation at least p - 1.  The n argument must restate the character
-    order; the j-th powers are accumulated in Z[x]/(x^m - 1) where each
-    G(phi, j) is a 0/1 monomial vector, with only two dense canonical
-    reductions per call.
+    order.
+
+    Every exponent of G(phi, j) at m = p(p-1) is a multiple of
+    step = (p-1)/n, so the j-th powers are taken in the short ring
+    Z[y]/(y^{pn} - 1) with y = zeta_m^step = zeta_{pn}, where G(phi, j) is a
+    0/1 vector of p - 1 ones.  A power of exponent e then has coefficients at
+    most (p-1)^e, which sets the packed slot width of `_cyclic_power`.  The
+    sums are spread back to conductor m for the only two dense canonical
+    reductions of the call.
     """
     p = phi.p
     n = int(n)
@@ -266,24 +308,28 @@ def power_sum_S(phi, n):
     if n == 1:
         raise ValueError("power sum concerns nontrivial characters")
     m = p * (p - 1)
+    L = p * n
     dlog = discrete_log_table(p)
     step = (p - 1) // n
-    svec = [0] * m
+    svec = [0] * L
     base_pow = None
-
-    def cyclic_mul(a, b):  # the product of Z[x]/(x^m - 1)
-        return _fold(_polymul_int(a, b), m)
-
     for j in range(1, p):
-        vec = [0] * m
+        # phi(k) zeta_p^{jk} = zeta_{pn}^{p (dlog k mod n) + n (jk mod p)}
+        vec = [0] * L
         for k in range(1, p):
-            vec[(p * ((dlog[k] * step) % (p - 1)) + (p - 1) * ((j * k) % p)) % m] += 1
-        powed = _power(vec, n, cyclic_mul)
+            vec[(p * (dlog[k] % n) + n * (j * k % p)) % L] += 1
+        powed = _cyclic_power(vec, n)
         if j == 1:
             base_pow = powed
         svec = [a + b for a, b in zip(svec, powed)]
-    S = _cyclo_from_cyclic(m, svec)
-    rhs = _cyclo_from_cyclic(m, [(p - 1) * c for c in base_pow])
+
+    def spread(short):  # y = x^step, back to Z[x]/(x^m - 1)
+        out = [0] * m
+        out[::step] = short
+        return out
+
+    S = _cyclo_from_cyclic(m, spread(svec))
+    rhs = _cyclo_from_cyclic(m, spread([(p - 1) * c for c in base_pow]))
     exact = S == rhs
     v = pi_valuation(embed_cyclo(S, p, _min_valuation_precision(p)))
     bounded = v is AT_CAP or v >= p - 1

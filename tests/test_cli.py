@@ -164,8 +164,13 @@ def test_gauss_n_filter(capsys):
         ),
         ("verify gauss --pmax 13 --format json", "2a60d9eee1cdafe79bee80bd53bd7104"),
         ("verify wild --format json", "85f7787e2e2478bd0aab545afe38b5cf"),
+        # the widest packed slots of the gauss power sums
+        (
+            "verify gauss --p 31 --n 30 --format json",
+            "251d0dbfb4b712a6e28976b739a42ef7",
+        ),
     ],
-    ids=["groupring", "gauss", "wild"],
+    ids=["groupring", "gauss", "wild", "gauss-p31-n30"],
 )
 def test_report_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0

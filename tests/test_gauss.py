@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.gauss import (
     MultiplicativeCharacter,
     ResidueSubgroup,
+    _cyclic_power,
     backend_coherence,
     character_sum_identity,
     gauss_sum,
@@ -133,6 +136,62 @@ def test_power_sum_examples():
     for p, n in [(7, 2), (7, 3), (11, 5)]:
         _, exact, bounded = power_sum_S(MultiplicativeCharacter(p, n), n)
         assert exact and bounded
+
+
+def _school_cyclic_mul(a, b):
+    # a * b in Z[y]/(y^L - 1), L = len(a): the rotations of a by each
+    # exponent of b, weighted by its coefficient
+    out = [0] * len(a)
+    for s, c in enumerate(b):
+        if c:
+            out = [o + c * r for o, r in zip(out, a[-s:] + a[:-s])]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda L: st.lists(st.integers(0, 300), min_size=L, max_size=L)
+    )
+)
+def test_cyclic_power_matches_schoolbook(vec):
+    # entries up to 300 put single coefficients on both sides of a byte
+    expect = vec
+    for k in range(1, 13):
+        assert _cyclic_power(vec, k) == expect
+        expect = _school_cyclic_mul(expect, vec)
+
+
+def _power_sum_school(phi):
+    # S from the definition: exponents at conductor m = p(p-1), divided by
+    # step in the test, schoolbook n-th powers, one canonical reduction
+    p, n = phi.p, phi.n
+    m, step = p * (p - 1), (p - 1) // n
+    total = [0] * (m // step)
+    for j in range(1, p):
+        vec = [0] * (m // step)
+        for k in range(1, p):
+            e = (p * phi.exponent_of(k) + (p - 1) * (j * k % p)) % m
+            assert e % step == 0
+            vec[e // step] += 1
+        powed = vec
+        for _ in range(n - 1):
+            powed = _school_cyclic_mul(powed, vec)
+        total = [a + b for a, b in zip(total, powed)]
+    return CycloElement.from_terms(m, ((c, i * step) for i, c in enumerate(total) if c))
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, p) if (p - 1) % n == 0]
+    + [(31, 30)],
+)
+def test_power_sum_matches_schoolbook(p, n):
+    phi = MultiplicativeCharacter(p, n)
+    S, exact, bounded = power_sum_S(phi, n)
+    expect = _power_sum_school(phi)
+    assert (S.num, S.den) == (expect.num, expect.den)
+    assert exact and bounded
 
 
 def test_power_sum_validates_n():

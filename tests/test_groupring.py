@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvendlab.abelian import FiniteAbelianGroup, dual_enumerate
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.groupring import (
+    CharacterVector,
     GroupMap,
     GroupRingElement,
     inverse_transform,
@@ -18,6 +21,7 @@ from resolvendlab.groupring import (
     unit_inverse,
     unit_pair_check,
 )
+from resolvendlab.numutil import euler_phi
 
 
 def _random_map(rng, group, conductor):
@@ -98,6 +102,28 @@ def test_transform_roundtrip():
         for chi in dual_enumerate(g):
             assert transform(r)(chi) == resolvent(a, chi)
         break  # the per-character loop is the expensive half; one pass suffices
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def _group_values(draw):
+    # one value of conductor exp(G) per group element, or per character
+    g = FiniteAbelianGroup.from_literal(draw(st.sampled_from(("3", "5", "3,3", "15"))))
+    width = euler_phi(g.exponent)
+    vec = st.lists(_fractions, min_size=width, max_size=width)
+    return g, [CycloElement(g.exponent, draw(vec)) for _ in range(g.order)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_group_values())
+def test_transform_roundtrip_property(data):
+    g, values = data
+    a = GroupMap(g, g.exponent, dict(zip(g.elements(), values)))
+    assert inverse_transform(transform(resolvend(a))) == a
+    phi = CharacterVector(g, g.exponent, dict(zip(dual_enumerate(g), values)))
+    assert transform(resolvend(inverse_transform(phi))) == phi
 
 
 def test_convolution_diagonalization():

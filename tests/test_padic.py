@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
+from resolvendlab.numutil import divisor_list, euler_phi
 from resolvendlab.padic import (
     AT_CAP,
     PadicCycloElement,
@@ -184,6 +185,32 @@ def test_mul_and_pow_match_schoolbook(data):
     for k in range(10):
         assert (x**k).coeffs == tuple(c % mod for c in expect)
         expect = [c % mod for c in _schoolbook_mul(p, expect, a)]
+
+
+@st.composite
+def _embeddable_pair(draw):
+    # a and b of conductors dividing p(p-1), denominators prime to p
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    M = draw(st.integers(min_value=1, max_value=6))
+    coeff = st.builds(
+        Fraction, st.integers(-30, 30), st.integers(1, 12).filter(lambda d: d % p)
+    )
+
+    def element():
+        m = draw(st.sampled_from(divisor_list(p * (p - 1))))
+        width = euler_phi(m)
+        return CycloElement(m, draw(st.lists(coeff, min_size=width, max_size=width)))
+
+    return p, M, element(), element()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_embeddable_pair())
+def test_embed_cyclo_homomorphism_property(data):
+    p, M, a, b = data
+    ea, eb = embed_cyclo(a, p, M), embed_cyclo(b, p, M)
+    assert embed_cyclo(a * b, p, M) == ea * eb
+    assert embed_cyclo(a + b, p, M) == ea + eb
 
 
 def _random_padic(rng, p, M):
