@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .padic import PrecisionError
@@ -70,24 +69,12 @@ def build_parser():
     verify.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
     )
-    verify.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="concurrent cases (default: RESOLVEND_LAB_JOBS or 1)",
-    )
     return parser
-
-
-def _default_jobs():
-    raw = os.environ.get("RESOLVEND_LAB_JOBS", "").strip()
-    return int(raw) if raw else 1
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        jobs = args.jobs if args.jobs is not None else _default_jobs()
         config = SuiteConfig(
             suite=args.suite,
             pmax=args.pmax,
@@ -99,8 +86,6 @@ def main(argv=None):
             n=args.n,
             product=args.product,
             max_order=args.max_order,
-            fmt=args.fmt,
-            jobs=jobs,
         )
         report, code = run(config)
     except PrecisionError as exc:
@@ -112,7 +97,7 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if config.fmt == "json":
+    if args.fmt == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
         sys.stdout.write("\n")
     else:

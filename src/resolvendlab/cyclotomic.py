@@ -12,7 +12,9 @@ Dense products go through a packed big-integer multiply so that conductors
 in the low thousands stay cheap; sums of roots of unity go through a cached
 monomial-reduction table.  The same product and the x^m = 1 fold also
 serve Z_p[zeta_p] (padic); the square-and-multiply helper serves padic and
-the packed gauss power sums in Z[y]/(y^{pn} - 1) as well.
+the packed gauss power sums in Z[y]/(y^{pn} - 1) as well.  Inverses are
+the product of the other Galois conjugates over the rational norm, so no
+arithmetic here works on Fraction polynomials.
 """
 
 from __future__ import annotations
@@ -401,22 +403,20 @@ class CycloElement:
         return _power(self, k, operator.mul)
 
     def inverse(self):
-        """Multiplicative inverse via the extended euclidean algorithm
-        against Phi_m over Q."""
+        """Multiplicative inverse as adjugate over norm.
+
+        adj is the product of the conjugates sigma_u(self) over the units
+        u != 1 mod m, so self * adj is the field norm N, a nonzero rational,
+        and self^-1 = adj / N.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.conductor)
         m = self.conductor
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        r0, r1 = modulus, _strip(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while _degree(r1) > 0:
-            q, r = _polydivmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub_frac(s0, _polymul_frac(q, s1))
-        c = r1[0]
-        inv = [v / c for v in s1]
-        inv = _reduce_frac_mod(m, inv)
-        return CycloElement(m, inv)
+        adj = CycloElement.one(m)
+        for u in range(2, m):
+            if gcd(u, m) == 1:
+                adj = adj * galois_map(u, self)
+        return adj * (1 / (self * adj).as_rational())
 
     # -- comparison / rendering -----------------------------------------
 
@@ -450,61 +450,6 @@ class CycloElement:
 
     def to_json(self):
         return [self.conductor, [[c.numerator, c.denominator] for c in self.coeffs]]
-
-
-def _strip(poly):
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _degree(poly):
-    return len(poly) - 1
-
-
-def _polysub_frac(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _strip([x - y for x, y in zip(a, b)])
-
-
-def _polymul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _strip(out)
-
-
-def _polydivmod_frac(num, den):
-    num = list(num)
-    dd = _degree(den)
-    lead = den[-1]
-    if dd < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            f = c / lead
-            q[k - dd] = f
-            for i, di in enumerate(den):
-                num[k - dd + i] -= f * di
-    return _strip(q), _strip(num[:dd])
-
-
-def _reduce_frac_mod(m, poly):
-    phi = euler_phi(m)
-    den = 1
-    for c in poly:
-        den = lcm(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in poly]
-    red = _reduce_int_mod_cyclo(m, ints)
-    return [Fraction(v, den) for v in red]
 
 
 def root_of_unity(conductor, k=1):

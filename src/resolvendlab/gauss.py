@@ -297,9 +297,8 @@ def power_sum_S(phi, n):
     step = (p-1)/n, so the j-th powers are taken in the short ring
     Z[y]/(y^{pn} - 1) with y = zeta_m^step = zeta_{pn}, where G(phi, j) is a
     0/1 vector of p - 1 ones.  A power of exponent e then has coefficients at
-    most (p-1)^e, which sets the packed slot width of `_cyclic_power`.  The
-    sums are spread back to conductor m for the only two dense canonical
-    reductions of the call.
+    most (p-1)^e, which sets the packed slot width of `_cyclic_power`.  Both
+    sums are reduced and compared at conductor pn; only S is raised to m.
     """
     p = phi.p
     n = int(n)
@@ -310,7 +309,6 @@ def power_sum_S(phi, n):
     m = p * (p - 1)
     L = p * n
     dlog = discrete_log_table(p)
-    step = (p - 1) // n
     svec = [0] * L
     base_pow = None
     for j in range(1, p):
@@ -322,15 +320,9 @@ def power_sum_S(phi, n):
         if j == 1:
             base_pow = powed
         svec = [a + b for a, b in zip(svec, powed)]
-
-    def spread(short):  # y = x^step, back to Z[x]/(x^m - 1)
-        out = [0] * m
-        out[::step] = short
-        return out
-
-    S = _cyclo_from_cyclic(m, spread(svec))
-    rhs = _cyclo_from_cyclic(m, spread([(p - 1) * c for c in base_pow]))
-    exact = S == rhs
+    S = _cyclo_from_cyclic(L, svec)
+    exact = S == _cyclo_from_cyclic(L, [(p - 1) * c for c in base_pow])
+    S = S.raise_conductor(m)
     v = pi_valuation(embed_cyclo(S, p, _min_valuation_precision(p)))
     bounded = v is AT_CAP or v >= p - 1
     return S, exact, bounded

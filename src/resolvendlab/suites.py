@@ -9,7 +9,6 @@ always produces byte-identical JSON.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -127,12 +126,8 @@ class SuiteConfig:
     n: int | None = None
     product: int | None = None
     max_order: int = 81
-    fmt: str = "text"
-    jobs: int = 1
 
     def to_json(self):
-        # fmt and jobs shape execution and presentation, not results; leaving
-        # them out keeps reports byte-identical across those knobs
         return {
             "suite": self.suite,
             "pmax": self.pmax,
@@ -151,105 +146,87 @@ def _case_rng(seed, case):
     return random.Random("%s-%s" % (seed, case))
 
 
-def _execute(tasks, jobs):
-    """Run (case, thunk) tasks, each yielding a record list; stable order."""
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda t: t[1](), tasks))
-    else:
-        chunks = [fn() for _, fn in tasks]
-    records = [r for chunk in chunks for r in chunk]
-    records.sort(key=lambda r: (r.suite, r.case))
-    return records
-
-
 # -- gauss ---------------------------------------------------------------
 
 
-def _gauss_identity_task(p, n):
-    def task():
-        phi = MultiplicativeCharacter(p, n)
-        at_zero = gauss_sum(phi, 0)
-        if n == 1:
-            ok = at_zero.as_rational() == p - 1
-            ok = ok and all(
-                gauss_sum(phi, j).as_rational() == -1 for j in range(1, p)
-            )
-        else:
-            ok = at_zero.is_zero()
-        ok = ok and all(verify_translation(phi, j) for j in range(1, p))
-        return [
+def _gauss_identity_records(p, n):
+    phi = MultiplicativeCharacter(p, n)
+    at_zero = gauss_sum(phi, 0)
+    if n == 1:
+        ok = at_zero.as_rational() == p - 1
+        ok = ok and all(
+            gauss_sum(phi, j).as_rational() == -1 for j in range(1, p)
+        )
+    else:
+        ok = at_zero.is_zero()
+    ok = ok and all(verify_translation(phi, j) for j in range(1, p))
+    return [
+        ReportRecord(
+            "gauss",
+            "lemma-4.4:p%d:n%d" % (p, n),
+            "Lemma 4.4",
+            ok,
+            {"p": p, "n": n, "j_checked": p - 1},
+        )
+    ]
+
+
+def _gauss_valuation_records(p, n, precision, with_coherence):
+    phi = MultiplicativeCharacter(p, n)
+    bound = (p - 1) // n
+    recs = []
+    for j in range(1, p):
+        v = gauss_valuation(phi, j, precision)
+        ok = v >= bound and (n != 2 or v == bound)
+        recs.append(
             ReportRecord(
                 "gauss",
-                "lemma-4.4:p%d:n%d" % (p, n),
-                "Lemma 4.4",
+                "valuation:p%d:n%d:j%d" % (p, n, j),
+                "Prop 4.6",
                 ok,
-                {"p": p, "n": n, "j_checked": p - 1},
-            )
-        ]
-
-    return task
-
-
-def _gauss_valuation_task(p, n, precision, with_coherence):
-    def task():
-        phi = MultiplicativeCharacter(p, n)
-        bound = (p - 1) // n
-        recs = []
-        for j in range(1, p):
-            v = gauss_valuation(phi, j, precision)
-            ok = v >= bound and (n != 2 or v == bound)
-            recs.append(
-                ReportRecord(
-                    "gauss",
-                    "valuation:p%d:n%d:j%d" % (p, n, j),
-                    "Prop 4.6",
-                    ok,
-                    {"p": p, "n": n, "j": j, "valuation": v, "bound": bound},
-                )
-            )
-            recs.append(
-                ReportRecord(
-                    "gauss",
-                    "char-sum:p%d:n%d:j%d" % (p, n, j),
-                    "Prop 4.7",
-                    character_sum_identity(phi, j),
-                    {"p": p, "n": n, "j": j},
-                )
-            )
-        _, exact, bounded = power_sum_S(phi, n)
-        recs.append(
-            ReportRecord(
-                "gauss",
-                "power-sum-exact:p%d:n%d" % (p, n),
-                "(S2)",
-                exact,
-                {"p": p, "n": n},
+                {"p": p, "n": n, "j": j, "valuation": v, "bound": bound},
             )
         )
         recs.append(
             ReportRecord(
                 "gauss",
-                "power-sum-valuation:p%d:n%d" % (p, n),
-                "(S1)",
-                bounded,
-                {"p": p, "n": n, "bound": p - 1},
+                "char-sum:p%d:n%d:j%d" % (p, n, j),
+                "Prop 4.7",
+                character_sum_identity(phi, j),
+                {"p": p, "n": n, "j": j},
             )
         )
-        if with_coherence:
-            okc = all(backend_coherence(phi, j, precision) for j in range(1, p))
-            recs.append(
-                ReportRecord(
-                    "gauss",
-                    "coherence:p%d:n%d" % (p, n),
-                    "Def 4.5",
-                    okc,
-                    {"p": p, "n": n, "precision": precision},
-                )
+    _, exact, bounded = power_sum_S(phi, n)
+    recs.append(
+        ReportRecord(
+            "gauss",
+            "power-sum-exact:p%d:n%d" % (p, n),
+            "(S2)",
+            exact,
+            {"p": p, "n": n},
+        )
+    )
+    recs.append(
+        ReportRecord(
+            "gauss",
+            "power-sum-valuation:p%d:n%d" % (p, n),
+            "(S1)",
+            bounded,
+            {"p": p, "n": n, "bound": p - 1},
+        )
+    )
+    if with_coherence:
+        okc = all(backend_coherence(phi, j, precision) for j in range(1, p))
+        recs.append(
+            ReportRecord(
+                "gauss",
+                "coherence:p%d:n%d" % (p, n),
+                "Def 4.5",
+                okc,
+                {"p": p, "n": n, "precision": precision},
             )
-        return recs
-
-    return task
+        )
+    return recs
 
 
 def run_gauss(config):
@@ -269,7 +246,7 @@ def run_gauss(config):
         primes = [p for p in range(3, pmax + 1) if is_odd_prime(p)]
         deep_cap = min(pmax, 31)
         coherence_cap = min(pmax, 13)
-    tasks = []
+    records = []
     for p in primes:
         orders = divisor_list(p - 1)
         if config.n is not None:
@@ -279,17 +256,12 @@ def run_gauss(config):
                 )
             orders = [config.n]
         for n in orders:
-            tasks.append((("id", p, n), _gauss_identity_task(p, n)))
+            records += _gauss_identity_records(p, n)
             if n > 1 and p <= deep_cap:
-                tasks.append(
-                    (
-                        ("val", p, n),
-                        _gauss_valuation_task(
-                            p, n, config.precision, p <= coherence_cap
-                        ),
-                    )
+                records += _gauss_valuation_records(
+                    p, n, config.precision, p <= coherence_cap
                 )
-    return _execute(tasks, config.jobs)
+    return records
 
 
 # -- stickelberger -------------------------------------------------------
@@ -352,92 +324,89 @@ def _box_equivalence(group, radius, chunk=1 << 18):
     return total, kernel, ok
 
 
-def _stickelberger_group_task(literal, seed, trials):
-    def task():
-        group = FiniteAbelianGroup.from_literal(literal)
-        chars = dual_enumerate(group)
-        recs = []
-        if group.order <= 9:
-            total, kernel, ok = _box_equivalence(group, _BOX_RADIUS)
-            recs.append(
-                ReportRecord(
-                    "stickelberger",
-                    "box:%s" % literal,
-                    "Prop 3.12",
-                    ok,
-                    {
-                        "group": literal,
-                        "radius": _BOX_RADIUS,
-                        "vectors": total,
-                        "kernel": kernel,
-                    },
-                )
-            )
-            # spot-check the table route against the object route
-            rng = _case_rng(seed, "crosscheck:%s" % literal)
-            U, _ = _pairing_tables(group)
-            m = group.exponent
-            agree = True
-            for _ in range(25):
-                vec = [
-                    rng.randrange(-_BOX_RADIUS, _BOX_RADIUS + 1) for _ in chars
-                ]
-                psi = VirtualCharacter(group, list(zip(chars, vec)))
-                row = np.array(vec, dtype=np.int64) @ U
-                table_integral = bool((row % m == 0).all())
-                if stickelberger_map(psi).is_integral() != table_integral:
-                    agree = False
-            recs.append(
-                ReportRecord(
-                    "stickelberger",
-                    "crosscheck:%s" % literal,
-                    "Prop 3.12",
-                    agree,
-                    {"group": literal, "samples": 25},
-                )
-            )
-        rng = _case_rng(seed, "random:%s" % literal)
-        hits = 0
-        ok = True
-        for _ in range(trials):
-            vec = [rng.randrange(-_RANDOM_SPAN, _RANDOM_SPAN + 1) for _ in chars]
-            psi = VirtualCharacter(group, list(zip(chars, vec)))
-            member = in_S(psi)
-            if member != stickelberger_map(psi).is_integral():
-                ok = False
-            hits += member
+def _stickelberger_group_records(literal, seed, trials):
+    group = FiniteAbelianGroup.from_literal(literal)
+    chars = dual_enumerate(group)
+    recs = []
+    if group.order <= 9:
+        total, kernel, ok = _box_equivalence(group, _BOX_RADIUS)
         recs.append(
             ReportRecord(
                 "stickelberger",
-                "random:%s" % literal,
+                "box:%s" % literal,
                 "Prop 3.12",
                 ok,
-                {"group": literal, "trials": trials, "kernel": hits},
+                {
+                    "group": literal,
+                    "radius": _BOX_RADIUS,
+                    "vectors": total,
+                    "kernel": kernel,
+                },
             )
         )
-        mexp = group.exponent
-        units = [u for u in range(1, mexp) if gcd(u, mexp) == 1]
-        ok = True
-        for chi in chars:
-            base = stickelberger_map(VirtualCharacter.single(chi))
-            for u in units:
-                lhs = stickelberger_map(
-                    VirtualCharacter.single(kappa_twist(u, chi))
-                )
-                if lhs != base.permute_powers(pow(u, -1, mexp)):
-                    ok = False
+        # spot-check the table route against the object route
+        rng = _case_rng(seed, "crosscheck:%s" % literal)
+        U, _ = _pairing_tables(group)
+        m = group.exponent
+        agree = True
+        for _ in range(25):
+            vec = [
+                rng.randrange(-_BOX_RADIUS, _BOX_RADIUS + 1) for _ in chars
+            ]
+            psi = VirtualCharacter(group, list(zip(chars, vec)))
+            row = np.array(vec, dtype=np.int64) @ U
+            table_integral = bool((row % m == 0).all())
+            if stickelberger_map(psi).is_integral() != table_integral:
+                agree = False
         recs.append(
             ReportRecord(
                 "stickelberger",
-                "twist:%s" % literal,
-                "Prop 3.14",
-                ok,
-                {"group": literal, "characters": len(chars), "units": len(units)},
+                "crosscheck:%s" % literal,
+                "Prop 3.12",
+                agree,
+                {"group": literal, "samples": 25},
             )
         )
-        return recs
-
-    return task
+    rng = _case_rng(seed, "random:%s" % literal)
+    hits = 0
+    ok = True
+    for _ in range(trials):
+        vec = [rng.randrange(-_RANDOM_SPAN, _RANDOM_SPAN + 1) for _ in chars]
+        psi = VirtualCharacter(group, list(zip(chars, vec)))
+        member = in_S(psi)
+        if member != stickelberger_map(psi).is_integral():
+            ok = False
+        hits += member
+    recs.append(
+        ReportRecord(
+            "stickelberger",
+            "random:%s" % literal,
+            "Prop 3.12",
+            ok,
+            {"group": literal, "trials": trials, "kernel": hits},
+        )
+    )
+    mexp = group.exponent
+    units = [u for u in range(1, mexp) if gcd(u, mexp) == 1]
+    ok = True
+    for chi in chars:
+        base = stickelberger_map(VirtualCharacter.single(chi))
+        for u in units:
+            lhs = stickelberger_map(
+                VirtualCharacter.single(kappa_twist(u, chi))
+            )
+            if lhs != base.permute_powers(pow(u, -1, mexp)):
+                ok = False
+    recs.append(
+        ReportRecord(
+            "stickelberger",
+            "twist:%s" % literal,
+            "Prop 3.14",
+            ok,
+            {"group": literal, "characters": len(chars), "units": len(units)},
+        )
+    )
+    return recs
 
 
 def run_stickelberger(config):
@@ -450,11 +419,10 @@ def run_stickelberger(config):
                 "suite needs odd group order, got %s (order %d)"
                 % (literal, group.order)
             )
-    tasks = [
-        (("grp", literal), _stickelberger_group_task(literal, config.seed, trials))
-        for literal in groups
-    ]
-    return _execute(tasks, config.jobs)
+    records = []
+    for literal in groups:
+        records += _stickelberger_group_records(literal, config.seed, trials)
+    return records
 
 
 # -- wild ----------------------------------------------------------------
@@ -462,110 +430,104 @@ def run_stickelberger(config):
 _WILD_DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 
-def _wild_pair_task(p, n):
-    def task():
-        ctx = WildContext(p, n)
-        alpha = build_alpha(ctx)
-        ok_alpha = len(alpha.terms) == p and all(
-            c == Fraction(1, p) for c in alpha.terms.values()
+def _wild_pair_records(p, n):
+    ctx = WildContext(p, n)
+    alpha = build_alpha(ctx)
+    ok_alpha = len(alpha.terms) == p and all(
+        c == Fraction(1, p) for c in alpha.terms.values()
+    )
+    ok_alpha = ok_alpha and all(
+        omega_action(j, alpha) == alpha for j in ctx.subgroup
+    )
+    recs = [
+        ReportRecord(
+            "wild",
+            "alpha:p%d:n%d" % (p, n),
+            "Lemma 5.7",
+            ok_alpha,
+            {"p": p, "n": n, "summands": len(alpha.terms)},
         )
-        ok_alpha = ok_alpha and all(
-            omega_action(j, alpha) == alpha for j in ctx.subgroup
+    ]
+    ok_conj = all(
+        conjugate_check(ctx, j, k) for j in range(p) for k in range(p)
+    )
+    recs.append(
+        ReportRecord(
+            "wild",
+            "conjugate:p%d:n%d" % (p, n),
+            "Prop 5.8",
+            ok_conj,
+            {"p": p, "n": n, "pairs": p * p},
         )
-        recs = [
-            ReportRecord(
-                "wild",
-                "alpha:p%d:n%d" % (p, n),
-                "Lemma 5.7",
-                ok_alpha,
-                {"p": p, "n": n, "summands": len(alpha.terms)},
-            )
-        ]
-        ok_conj = all(
-            conjugate_check(ctx, j, k) for j in range(p) for k in range(p)
+    )
+    g = build_g(ctx)
+    ok_g = g.check_equivariance(
+        ctx.subgroup, lambda u, v: omega_monomial(u, v, p)
+    )
+    support = sum(1 for s in ctx.group.elements() if not g(s).is_one())
+    recs.append(
+        ReportRecord(
+            "wild",
+            "gmap:p%d:n%d" % (p, n),
+            "Lemma 5.9",
+            ok_g,
+            {"p": p, "n": n, "support": support},
         )
+    )
+    monos = {}
+    for k in range(p):
+        try:
+            ((mono, _coeff),) = resolvent_at(ctx, k).terms.items()
+            matched = transpose_eval_g(ctx, k) == mono
+            monos[k] = mono
+            witness = {"p": p, "n": n, "k": k, "monomial": str(mono)}
+        except ArithmeticError as exc:
+            matched = False
+            witness = {"p": p, "n": n, "k": k, "error": str(exc)}
         recs.append(
             ReportRecord(
                 "wild",
-                "conjugate:p%d:n%d" % (p, n),
-                "Prop 5.8",
-                ok_conj,
-                {"p": p, "n": n, "pairs": p * p},
+                "resolvent:p%d:n%d:k%d" % (p, n, k),
+                "Prop 5.1",
+                matched,
+                witness,
             )
         )
-        g = build_g(ctx)
-        ok_g = g.check_equivariance(
-            ctx.subgroup, lambda u, v: omega_monomial(u, v, p)
+    ok_pair = len(monos) == p and all(
+        monos[k] * monos[(-k) % p] == WildMonomial.one() for k in range(p)
+    )
+    recs.append(
+        ReportRecord(
+            "wild",
+            "pairing:p%d:n%d" % (p, n),
+            "Lemma 4.8",
+            ok_pair,
+            {"p": p, "n": n},
         )
-        support = sum(1 for s in ctx.group.elements() if not g(s).is_one())
+    )
+    return recs
+
+
+def _wild_product_records(p, ns):
+    rows = product_contexts([WildContext(p, n) for n in ns])
+    recs = []
+    for coords, mono, ok in rows:
         recs.append(
             ReportRecord(
                 "wild",
-                "gmap:p%d:n%d" % (p, n),
-                "Lemma 5.9",
-                ok_g,
-                {"p": p, "n": n, "support": support},
+                "product:p%d:r%d:k%s"
+                % (p, len(ns), "-".join(str(c) for c in coords)),
+                "Theorem 1.3",
+                ok,
+                {
+                    "p": p,
+                    "orders": list(ns),
+                    "coords": list(coords),
+                    "monomial": str(mono),
+                },
             )
         )
-        monos = {}
-        for k in range(p):
-            try:
-                ((mono, _coeff),) = resolvent_at(ctx, k).terms.items()
-                matched = transpose_eval_g(ctx, k) == mono
-                monos[k] = mono
-                witness = {"p": p, "n": n, "k": k, "monomial": str(mono)}
-            except ArithmeticError as exc:
-                matched = False
-                witness = {"p": p, "n": n, "k": k, "error": str(exc)}
-            recs.append(
-                ReportRecord(
-                    "wild",
-                    "resolvent:p%d:n%d:k%d" % (p, n, k),
-                    "Prop 5.1",
-                    matched,
-                    witness,
-                )
-            )
-        ok_pair = len(monos) == p and all(
-            monos[k] * monos[(-k) % p] == WildMonomial.one() for k in range(p)
-        )
-        recs.append(
-            ReportRecord(
-                "wild",
-                "pairing:p%d:n%d" % (p, n),
-                "Lemma 4.8",
-                ok_pair,
-                {"p": p, "n": n},
-            )
-        )
-        return recs
-
-    return task
-
-
-def _wild_product_task(p, ns):
-    def task():
-        rows = product_contexts([WildContext(p, n) for n in ns])
-        recs = []
-        for coords, mono, ok in rows:
-            recs.append(
-                ReportRecord(
-                    "wild",
-                    "product:p%d:r%d:k%s"
-                    % (p, len(ns), "-".join(str(c) for c in coords)),
-                    "Theorem 1.3",
-                    ok,
-                    {
-                        "p": p,
-                        "orders": list(ns),
-                        "coords": list(coords),
-                        "monomial": str(mono),
-                    },
-                )
-            )
-        return recs
-
-    return task
+    return recs
 
 
 def product_orders(p, r, n=None):
@@ -586,19 +548,20 @@ def run_wild(config):
             raise ValueError("wild suite needs odd primes, got %r" % (p,))
         if config.n is not None and (p - 1) % config.n:
             raise ValueError("n = %d does not divide %d" % (config.n, p - 1))
-    tasks = []
-    for p in ps:
-        ns = (config.n,) if config.n is not None else divisor_list(p - 1)
-        for n in ns:
-            tasks.append((("wild", p, n), _wild_pair_task(p, n)))
     if config.product is not None:
         if config.product < 1:
             raise ValueError("product size must be positive")
         if config.p is None:
             raise ValueError("--product needs an explicit p")
+    records = []
+    for p in ps:
+        ns = (config.n,) if config.n is not None else divisor_list(p - 1)
+        for n in ns:
+            records += _wild_pair_records(p, n)
+    if config.product is not None:
         ns = product_orders(config.p, config.product, config.n)
-        tasks.append((("product", config.p), _wild_product_task(config.p, ns)))
-    return _execute(tasks, config.jobs)
+        records += _wild_product_records(config.p, ns)
+    return records
 
 
 # -- groupring -----------------------------------------------------------
@@ -624,66 +587,63 @@ def _random_map(rng, group, conductor):
     )
 
 
-def _groupring_task(literal, seed, trials):
-    def task():
-        group = FiniteAbelianGroup.from_literal(literal)
-        N = group.exponent
-        rng = _case_rng(seed, "groupring:%s" % literal)
-        ok_round = ok_diag = ok_units = True
-        unit_rounds = min(trials, 20)
-        unit_hits = 0
-        for round_no in range(trials):
-            a = _random_map(rng, group, N)
-            r = resolvend(a)
-            if resolvend_to_map(r) != a:
-                ok_round = False
-            tr = transform(r)
-            if inverse_transform(tr) != a:
-                ok_round = False
-            r2 = GroupRingElement(
-                group, N, {s: _random_cyclo(rng, N) for s in group.elements()}
-            )
-            if transform(r * r2) != tr.pointwise_mul(transform(r2)):
-                ok_diag = False
-            if round_no >= unit_rounds:
-                continue
-            unit = is_unit(r)
-            if unit != unit_pair_check(a):
+def _groupring_records(literal, seed, trials):
+    group = FiniteAbelianGroup.from_literal(literal)
+    N = group.exponent
+    rng = _case_rng(seed, "groupring:%s" % literal)
+    ok_round = ok_diag = ok_units = True
+    unit_rounds = min(trials, 20)
+    unit_hits = 0
+    for round_no in range(trials):
+        a = _random_map(rng, group, N)
+        r = resolvend(a)
+        if resolvend_to_map(r) != a:
+            ok_round = False
+        tr = transform(r)
+        if inverse_transform(tr) != a:
+            ok_round = False
+        r2 = GroupRingElement(
+            group, N, {s: _random_cyclo(rng, N) for s in group.elements()}
+        )
+        if transform(r * r2) != tr.pointwise_mul(transform(r2)):
+            ok_diag = False
+        if round_no >= unit_rounds:
+            continue
+        unit = is_unit(r)
+        if unit != unit_pair_check(a):
+            ok_units = False
+        if unit:
+            unit_hits += 1
+            if unit_inverse(r) * r != GroupRingElement.identity(group, N):
                 ok_units = False
-            if unit:
-                unit_hits += 1
-                if unit_inverse(r) * r != GroupRingElement.identity(group, N):
-                    ok_units = False
-                shift = group.element(
-                    [rng.randrange(d) for d in group.invariant_factors]
-                )
-                if reduced_equal(r, r * shift) != shift:
-                    ok_units = False
-        return [
-            ReportRecord(
-                "groupring",
-                "roundtrip:%s" % literal,
-                "Def 3.4",
-                ok_round,
-                {"group": literal, "trials": trials},
-            ),
-            ReportRecord(
-                "groupring",
-                "convolution:%s" % literal,
-                "Eq. (iden1)",
-                ok_diag,
-                {"group": literal, "trials": trials},
-            ),
-            ReportRecord(
-                "groupring",
-                "units:%s" % literal,
-                "Prop 3.5(a)",
-                ok_units,
-                {"group": literal, "trials": unit_rounds, "units_seen": unit_hits},
-            ),
-        ]
-
-    return task
+            shift = group.element(
+                [rng.randrange(d) for d in group.invariant_factors]
+            )
+            if reduced_equal(r, r * shift) != shift:
+                ok_units = False
+    return [
+        ReportRecord(
+            "groupring",
+            "roundtrip:%s" % literal,
+            "Def 3.4",
+            ok_round,
+            {"group": literal, "trials": trials},
+        ),
+        ReportRecord(
+            "groupring",
+            "convolution:%s" % literal,
+            "Eq. (iden1)",
+            ok_diag,
+            {"group": literal, "trials": trials},
+        ),
+        ReportRecord(
+            "groupring",
+            "units:%s" % literal,
+            "Prop 3.5(a)",
+            ok_units,
+            {"group": literal, "trials": unit_rounds, "units_seen": unit_hits},
+        ),
+    ]
 
 
 def run_groupring(config):
@@ -691,96 +651,92 @@ def run_groupring(config):
     trials = config.trials if config.trials is not None else 50
     for literal in groups:
         FiniteAbelianGroup.from_literal(literal)
-    tasks = [
-        (("ring", literal), _groupring_task(literal, config.seed, trials))
-        for literal in groups
-    ]
-    return _execute(tasks, config.jobs)
+    records = []
+    for literal in groups:
+        records += _groupring_records(literal, config.seed, trials)
+    return records
 
 
 # -- ramify --------------------------------------------------------------
 
 
-def _ramify_task(max_order):
-    def task():
-        recs = []
-        counts = {"unramified": 0, "tame": 0, "weak-wild": 0, "deep-wild": 0}
-        sqrt_cases = 0
-        sqrt_ok = True
-        chains = enumerate_filtrations(max_order, 4)
-        for f in chains:
-            dv = different_valuation(f)
-            kind = classify(f)
-            counts[kind] += 1
-            v_sqrt = None
-            ok = dv >= 0
-            if kind == "weak-wild" and f.order(0) == f.order(1):
-                primes = factorize(f.order(0))
-                if len(primes) == 1:
-                    p = primes[0][0]
-                    v_sqrt = sqrt_inverse_different_valuation(f, p)
-                    sqrt_cases += 1
-                    good = v_sqrt == 1 - f.order(0) and dv == 2 * (f.order(0) - 1)
-                    good = good and dv % 2 == 0
-                    sqrt_ok = sqrt_ok and good
-                    ok = ok and good
-            recs.append(
-                ReportRecord(
-                    "ramify",
-                    "chain:%s" % ",".join(str(g) for g in f),
-                    "Eq. (2)",
-                    ok,
-                    {
-                        "filtration": list(f),
-                        "class": kind,
-                        "v_different": dv,
-                        "v_sqrt": v_sqrt,
-                    },
-                )
-            )
+def _ramify_records(max_order):
+    recs = []
+    counts = {"unramified": 0, "tame": 0, "weak-wild": 0, "deep-wild": 0}
+    sqrt_cases = 0
+    sqrt_ok = True
+    chains = enumerate_filtrations(max_order, 4)
+    for f in chains:
+        dv = different_valuation(f)
+        kind = classify(f)
+        counts[kind] += 1
+        v_sqrt = None
+        ok = dv >= 0
+        if kind == "weak-wild" and f.order(0) == f.order(1):
+            primes = factorize(f.order(0))
+            if len(primes) == 1:
+                p = primes[0][0]
+                v_sqrt = sqrt_inverse_different_valuation(f, p)
+                sqrt_cases += 1
+                good = v_sqrt == 1 - f.order(0) and dv == 2 * (f.order(0) - 1)
+                good = good and dv % 2 == 0
+                sqrt_ok = sqrt_ok and good
+                ok = ok and good
         recs.append(
             ReportRecord(
                 "ramify",
-                "classify-partition",
-                "Def 3.2",
-                sum(counts.values()) == len(chains),
-                {"max_order": max_order, "counts": counts},
+                "chain:%s" % ",".join(str(g) for g in f),
+                "Eq. (2)",
+                ok,
+                {
+                    "filtration": list(f),
+                    "class": kind,
+                    "v_different": dv,
+                    "v_sqrt": v_sqrt,
+                },
             )
         )
-        recs.append(
-            ReportRecord(
-                "ramify",
-                "sqrt-existence",
-                "Prop 3.3",
-                sqrt_ok and sqrt_cases > 0,
-                {"max_order": max_order, "cases": sqrt_cases},
-            )
+    recs.append(
+        ReportRecord(
+            "ramify",
+            "classify-partition",
+            "Def 3.2",
+            sum(counts.values()) == len(chains),
+            {"max_order": max_order, "counts": counts},
         )
-        rejects_ok = True
-        for orders, p in (((6, 6, 1), 3), ((9, 3, 1), 3)):
-            try:
-                sqrt_inverse_different_valuation(RamificationFiltration(orders), p)
-                rejects_ok = False
-            except ValueError as exc:
-                rejects_ok = rejects_ok and "inconsistent filtration" in str(exc)
-        recs.append(
-            ReportRecord(
-                "ramify",
-                "sqrt-rejections",
-                "Prop 3.3",
-                rejects_ok,
-                {"cases": ["6,6,1", "9,3,1"]},
-            )
+    )
+    recs.append(
+        ReportRecord(
+            "ramify",
+            "sqrt-existence",
+            "Prop 3.3",
+            sqrt_ok and sqrt_cases > 0,
+            {"max_order": max_order, "cases": sqrt_cases},
         )
-        return recs
-
-    return task
+    )
+    rejects_ok = True
+    for orders, p in (((6, 6, 1), 3), ((9, 3, 1), 3)):
+        try:
+            sqrt_inverse_different_valuation(RamificationFiltration(orders), p)
+            rejects_ok = False
+        except ValueError as exc:
+            rejects_ok = rejects_ok and "inconsistent filtration" in str(exc)
+    recs.append(
+        ReportRecord(
+            "ramify",
+            "sqrt-rejections",
+            "Prop 3.3",
+            rejects_ok,
+            {"cases": ["6,6,1", "9,3,1"]},
+        )
+    )
+    return recs
 
 
 def run_ramify(config):
     if config.max_order < 1:
         raise ValueError("max order must be positive")
-    return _execute([(("ramify",), _ramify_task(config.max_order))], config.jobs)
+    return _ramify_records(config.max_order)
 
 
 # -- driver --------------------------------------------------------------

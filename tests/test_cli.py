@@ -15,7 +15,6 @@ def test_parser_defaults():
     assert args.seed == "resolvend"
     assert args.fmt == "text"
     assert args.group is None
-    assert args.jobs is None
     assert args.max_order == 81
 
 
@@ -26,9 +25,19 @@ def test_report_record_validates_citation():
 
 
 def test_config_json_omits_presentation_knobs():
-    cfg = SuiteConfig(suite="gauss", fmt="json", jobs=4)
-    doc = cfg.to_json()
-    assert "fmt" not in doc and "jobs" not in doc
+    doc = SuiteConfig(suite="gauss").to_json()
+    assert set(doc) == {
+        "suite",
+        "pmax",
+        "precision",
+        "groups",
+        "trials",
+        "seed",
+        "p",
+        "n",
+        "product",
+        "max_order",
+    }
     assert doc["suite"] == "gauss"
     assert doc["pmax"] == 31
 
@@ -84,25 +93,6 @@ def test_main_json_deterministic(capsys):
     assert doc["failed"] == 0
     assert doc["config"]["trials"] == 40
     assert doc["config"]["groups"] == ["3"]
-
-
-def test_jobs_do_not_change_bytes(capsys):
-    argv = ["verify", "wild", "--p", "5", "--format", "json"]
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert main(argv + ["--jobs", "3"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-
-
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("RESOLVEND_LAB_JOBS", "2")
-    argv = ["verify", "wild", "--p", "3", "--format", "json"]
-    assert main(argv) == 0
-    env_run = capsys.readouterr().out
-    monkeypatch.delenv("RESOLVEND_LAB_JOBS")
-    assert main(argv) == 0
-    assert env_run == capsys.readouterr().out
 
 
 def test_bad_group_literal_exits_2(capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from resolvendlab.cyclotomic import (
     CycloElement,
     _fold,
-    _polymul_frac,
-    _reduce_frac_mod,
+    _reduce_int_mod_cyclo,
     conjugate,
     cyclotomic_polynomial,
     galois_map,
@@ -58,6 +57,10 @@ def test_field_inverse():
         x = _random_cyclo(rng, m)
         if x.is_zero():
             continue
+        assert x * x.inverse() == CycloElement.one(m)
+    # two large prime conductors, phi = 30 and 58
+    for m in (31, 59):
+        x = _random_cyclo(rng, m)
         assert x * x.inverse() == CycloElement.one(m)
     with pytest.raises(ZeroDivisionError):
         CycloElement.zero(5).inverse()
@@ -173,11 +176,11 @@ _fractions = st.fractions(min_value=-60, max_value=60, max_denominator=36)
 
 
 @st.composite
-def _vectors(draw, count):
+def _vectors(draw, count, coeffs=_fractions):
     """A conductor up to 60 and count Fraction vectors of length phi(m)."""
     m = draw(st.integers(min_value=1, max_value=60))
     phi = euler_phi(m)
-    vec = st.lists(_fractions, min_size=phi, max_size=phi)
+    vec = st.lists(coeffs, min_size=phi, max_size=phi)
     return m, [draw(vec) for _ in range(count)]
 
 
@@ -227,13 +230,26 @@ def test_pow_matches_repeated_product(data):
     for k in range(10):
         assert x**k == expect
         expect = expect * x
-    # the Fraction-based inverse slows sharply with phi(m), so negative
-    # powers are checked on the smaller fields only
-    if not x.is_zero() and len(vec) <= 12:
+    if not x.is_zero():
         inv, expect = x.inverse(), CycloElement.one(m)
         for k in range(1, 4):
             expect = expect * inv
             assert x**-k == expect
+
+
+# small coefficients: the inverse of an inverse multiplies conjugates whose
+# coefficients run to thousands of bits at phi(m) near 60
+@_property
+@given(_vectors(2, st.fractions(min_value=-9, max_value=9, max_denominator=9)))
+def test_inverse_is_involutive_and_multiplicative(data):
+    m, (u, v) = data
+    x, y = CycloElement(m, u), CycloElement(m, v)
+    if x.is_zero() or y.is_zero():
+        return
+    inv = x.inverse()
+    _assert_canonical(inv)
+    assert inv.inverse() == x
+    assert (x * y).inverse() == inv * y.inverse()
 
 
 @_property
@@ -246,6 +262,36 @@ def test_fold_matches_modular_accumulation(m, vec):
     for k, c in enumerate(vec):
         direct[k % m] += c
     assert _fold(vec, m) == direct
+
+
+# Fraction-per-coefficient reference route for the product
+
+
+def _strip(poly):
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _polymul_frac(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _strip(out)
+
+
+def _reduce_frac_mod(m, poly):
+    phi = euler_phi(m)
+    den = 1
+    for c in poly:
+        den = lcm(den, c.denominator)
+    ints = [c.numerator * (den // c.denominator) for c in poly]
+    red = _reduce_int_mod_cyclo(m, ints)
+    return [Fraction(v, den) for v in red]
 
 
 def _gcd(a, b):
