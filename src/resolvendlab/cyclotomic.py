@@ -263,10 +263,10 @@ class CycloElement:
         high = {}
         tden = 1
         for c, e in terms:
-            if isinstance(c, Fraction):
-                cn, cd = c.numerator, c.denominator
-            else:
+            if type(c) is int or not isinstance(c, Fraction):
                 cn, cd = int(c), 1
+            else:
+                cn, cd = c.numerator, c.denominator
             if not cn:
                 continue
             if tden % cd:

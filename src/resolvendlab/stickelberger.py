@@ -179,11 +179,13 @@ def stickelberger_map(psi):
         raise ValueError("the map needs a group of odd order, got order %d" % group.order)
     out = {}
     for s in group.elements():
-        total = Fraction(0)
+        o = element_order(group, s)
+        total = 0
         for chi, n in psi.coeffs.items():
-            total += n * pairing(chi, s)
+            q = pairing(chi, s)
+            total += n * q.numerator * (o // q.denominator)
         if total:
-            out[s] = total
+            out[s] = Fraction(total, o)
     return RationalGroupElement(group, out)
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .abelian import FiniteAbelianGroup, char_exponent, dual_enumerate, element_order
 from .cyclotomic import CycloElement
 from .gauss import (
@@ -274,54 +272,53 @@ _RANDOM_SPAN = 6
 def _pairing_tables(group):
     """Integer tables for the centered pairing and the determinant.
 
-    U[a, b] holds the pairing of character a with element b scaled by the
+    U[a][b] holds the pairing of character a with element b scaled by the
     group exponent m (always an integer); C[a] holds character coordinates.
-    Integrality of a virtual character's group-ring image then reads
-    V @ U == 0 mod m, and determinant-kernel membership V @ C == 0 mod the
-    invariant factors.
+    Integrality of the group-ring image of v then reads vU == 0 mod m, and
+    determinant-kernel membership vC == 0 mod the invariant factors.
     """
     m = group.exponent
-    elements = group.elements()
     chars = dual_enumerate(group)
-    U = np.zeros((len(chars), len(elements)), dtype=np.int64)
-    for a, chi in enumerate(chars):
-        for b, s in enumerate(elements):
-            o = element_order(group, s)
-            t = (char_exponent(group, chi, s) // (m // o)) % o
-            if t > (o - 1) // 2:
-                t -= o
-            U[a, b] = t * (m // o)
-    C = np.array([chi.coords for chi in chars], dtype=np.int64)
+
+    def scaled(chi, s):
+        o = element_order(group, s)
+        t = (char_exponent(group, chi, s) // (m // o)) % o
+        return (t - o if t > (o - 1) // 2 else t) * (m // o)
+
+    U = [[scaled(chi, s) for s in group.elements()] for chi in chars]
+    C = [list(chi.coords) for chi in chars]
     return U, C
 
 
-def _box_vectors(idx, width, radius):
-    base = 2 * radius + 1
-    V = np.empty((len(idx), width), dtype=np.int64)
-    for col in range(width):
-        V[:, col] = (idx // base**col) % base - radius
-    return V
+def _box_zero_count(rows, mods, radius):
+    """How many v in [-radius, radius]^len(rows) have sum_a v_a rows[a] == 0
+    mod mods, counted by folding the box one coordinate at a time into a
+    map from residue to multiplicity."""
+    zero = (0,) * len(mods)
+    counts = {zero: 1}
+    for row in rows:
+        steps = [[v * x for x in row] for v in range(-radius, radius + 1)]
+        folded = {}
+        for key, n in counts.items():
+            for step in steps:
+                k = tuple((a + b) % d for a, b, d in zip(key, step, mods))
+                folded[k] = folded.get(k, 0) + n
+        counts = folded
+    return counts[zero]
 
 
-def _box_equivalence(group, radius, chunk=1 << 18):
+def _box_equivalence(group, radius):
     """Exhaustive check that integrality matches kernel membership over the
-    coefficient box [-radius, radius]^|dual|.  Returns (total, kernel, ok)."""
+    coefficient box [-radius, radius]^|dual|: the integral, the kernel and the
+    joint zero sets are counted, and the first two agree iff all three counts
+    do.  Returns (total, kernel, ok)."""
     U, C = _pairing_tables(group)
-    m = group.exponent
-    mods = np.array(group.invariant_factors, dtype=np.int64)
-    width = U.shape[0]
-    total = (2 * radius + 1) ** width
-    kernel = 0
-    ok = True
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        V = _box_vectors(idx, width, radius)
-        integral = ((V @ U) % m == 0).all(axis=1)
-        member = ((V @ C) % mods == 0).all(axis=1)
-        kernel += int(member.sum())
-        if not np.array_equal(integral, member):
-            ok = False
-    return total, kernel, ok
+    mod_u = [group.exponent] * len(U[0])
+    mod_c = list(group.invariant_factors)
+    integral = _box_zero_count(U, mod_u, radius)
+    kernel = _box_zero_count(C, mod_c, radius)
+    both = _box_zero_count([u + c for u, c in zip(U, C)], mod_u + mod_c, radius)
+    return (2 * radius + 1) ** len(U), kernel, integral == kernel == both
 
 
 def _stickelberger_group_records(literal, seed, trials):
@@ -350,12 +347,11 @@ def _stickelberger_group_records(literal, seed, trials):
         m = group.exponent
         agree = True
         for _ in range(25):
-            vec = [
-                rng.randrange(-_BOX_RADIUS, _BOX_RADIUS + 1) for _ in chars
-            ]
+            vec = [rng.randrange(-_BOX_RADIUS, _BOX_RADIUS + 1) for _ in chars]
             psi = VirtualCharacter(group, list(zip(chars, vec)))
-            row = np.array(vec, dtype=np.int64) @ U
-            table_integral = bool((row % m == 0).all())
+            table_integral = all(
+                sum(v * u for v, u in zip(vec, col)) % m == 0 for col in zip(*U)
+            )
             if stickelberger_map(psi).is_integral() != table_integral:
                 agree = False
         recs.append(

@@ -159,8 +159,10 @@ def test_gauss_n_filter(capsys):
             "verify gauss --p 31 --n 30 --format json",
             "251d0dbfb4b712a6e28976b739a42ef7",
         ),
+        # the Prop 3.12 box counts and the crosscheck table route
+        ("verify stickelberger --format json", "9bdfc0c9ced4e05232c99b61181a3731"),
     ],
-    ids=["groupring", "gauss", "wild", "gauss-p31-n30"],
+    ids=["groupring", "gauss", "wild", "gauss-p31-n30", "stickelberger"],
 )
 def test_report_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0

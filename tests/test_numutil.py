@@ -85,3 +85,10 @@ def test_import_leaves_sympy_out():
     code = "import sys, resolvendlab; sys.exit('sympy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0
+
+
+def test_import_leaves_numpy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, resolvendlab.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resolvendlab import suites
 from resolvendlab.abelian import FiniteAbelianGroup, dual_enumerate
 from resolvendlab.cyclotomic import CycloElement, galois_map, root_of_unity
 from resolvendlab.stickelberger import (
@@ -86,6 +89,102 @@ def test_integrality_iff_kernel_small_boxes():
         for vec in itertools.product(range(-radius, radius + 1), repeat=len(chars)):
             psi = VirtualCharacter(g, list(zip(chars, vec)))
             assert in_S(psi) == stickelberger_map(psi).is_integral()
+
+
+def _brute_box(group, radius):
+    """(vectors, kernel, ok) of the Prop 3.12 box check, testing every
+    vector of the box against the integer tables one at a time."""
+    U, C = suites._pairing_tables(group)
+    m = group.exponent
+    vectors = kernel = 0
+    ok = True
+    for vec in itertools.product(range(-radius, radius + 1), repeat=len(U)):
+        integral = all(sum(v * u for v, u in zip(vec, col)) % m == 0 for col in zip(*U))
+        member = all(
+            sum(v * c for v, c in zip(vec, col)) % d == 0
+            for col, d in zip(zip(*C), group.invariant_factors)
+        )
+        vectors += 1
+        kernel += member
+        ok = ok and integral == member
+    return vectors, kernel, ok
+
+
+@pytest.mark.parametrize(
+    "literal, radius", [("3", 1), ("9", 1), ("3,3", 1), ("7", 1), ("3", 2), ("7", 2)]
+)
+def test_box_count_matches_enumeration(literal, radius):
+    g = FiniteAbelianGroup.from_literal(literal)
+    expected = _brute_box(g, radius)
+    assert expected[2] and expected[1] > 1
+    assert suites._box_equivalence(g, radius) == expected
+
+
+def _bump_entry(U):
+    U[1][1] += 1
+
+
+def _swap_rows(U):
+    # the same number of integral vectors as kernel vectors, but other ones
+    U[1], U[2] = U[2], U[1]
+
+
+@pytest.mark.parametrize("corrupt", [_bump_entry, _swap_rows])
+def test_box_count_catches_corrupted_table(monkeypatch, corrupt):
+    tables = suites._pairing_tables
+
+    def corrupted(group):
+        U, C = tables(group)
+        corrupt(U)
+        return U, C
+
+    monkeypatch.setattr(suites, "_pairing_tables", corrupted)
+    g = FiniteAbelianGroup.from_literal("9")
+    total, kernel, ok = suites._box_equivalence(g, 1)
+    assert not ok
+    assert (total, kernel, ok) == _brute_box(g, 1)
+
+
+@pytest.mark.parametrize("literal", ["3,9", "5,5", "15"])
+def test_box_count_beyond_enumeration(literal):
+    # boxes of 3^27, 3^25 and 3^15 vectors; "3,9" also checks that each
+    # character coordinate is reduced by its own invariant factor
+    g = FiniteAbelianGroup.from_literal(literal)
+    total, kernel, ok = suites._box_equivalence(g, 1)
+    assert ok
+    assert total == 3**g.order and 0 < kernel < total
+
+
+@pytest.mark.parametrize("literal", suites._STICKELBERGER_DEFAULT_GROUPS)
+def test_pairing_tables_match_pairing(literal):
+    g = FiniteAbelianGroup.from_literal(literal)
+    U, C = suites._pairing_tables(g)
+    chars = dual_enumerate(g)
+    assert len(U) == len(C) == len(chars)
+    for row, coords, chi in zip(U, C, chars):
+        assert row == [pairing(chi, s) * g.exponent for s in g.elements()]
+        assert coords == list(chi.coords)
+
+
+@st.composite
+def _virtual_characters(draw):
+    g = FiniteAbelianGroup.from_literal(draw(st.sampled_from(["3", "9", "3,3", "7", "15"])))
+    chars = dual_enumerate(g)
+    vec = draw(st.lists(st.integers(-6, 6), min_size=len(chars), max_size=len(chars)))
+    return VirtualCharacter(g, list(zip(chars, vec)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_virtual_characters())
+def test_stickelberger_map_matches_fraction_sum(psi):
+    expected = {}
+    for s in psi.group.elements():
+        total = Fraction(0)
+        for chi, n in psi.coeffs.items():
+            total += n * pairing(chi, s)
+        if total:
+            expected[s] = total
+    assert stickelberger_map(psi).coeffs == expected
 
 
 def test_integrality_iff_kernel_random():
