@@ -9,12 +9,13 @@ binary operations raise both operands to the lcm conductor first.
 
 Coefficient work is done on integer vectors over a common denominator.
 Dense products go through a packed big-integer multiply so that conductors
-in the low thousands stay cheap; sums of roots of unity go through a cached
-monomial-reduction table.  The same product and the x^m = 1 fold also
-serve Z_p[zeta_p] (padic); the square-and-multiply helper serves padic and
-the packed gauss power sums in Z[y]/(y^{pn} - 1) as well.  Inverses are
-the product of the other Galois conjugates over the rational norm, so no
-arithmetic here works on Fraction polynomials.
+in the low thousands stay cheap.  Every reduction mod Phi_m, of a sum of
+roots of unity or of a product, folds by x^m = 1 and then adds one cached
+sparse row x^k mod Phi_m per exponent k >= phi(m) left.  The same product
+and reduction serve Z_p[zeta_p] (padic); the square-and-multiply helper
+serves padic and the packed gauss power sums in Z[y]/(y^{pn} - 1) as well.
+Inverses are the product of the other Galois conjugates over the rational
+norm, so no arithmetic here works on Fraction polynomials.
 """
 
 from __future__ import annotations
@@ -127,20 +128,18 @@ def _phi_tail(m):
 
 @lru_cache(maxsize=16)
 def _reduction_rows(m):
-    """Row k - phi(m) holds the canonical coefficients of x^k mod Phi_m,
-    for k in [phi(m), m)."""
+    """Sparse x^k mod Phi_m, k in [phi(m), m): row k - phi(m) holds the (i, c)
+    with c != 0 the coefficient of z^i, i increasing.  Row 0 is _phi_tail(m),
+    which only seeds the rest; each row is the one before times x."""
     phi = euler_phi(m)
-    tail = [0] * phi
-    for i, t in _phi_tail(m):
-        tail[i] = t
-    rows = [tuple(tail)]
-    row = tail
+    tail = _phi_tail(m)
+    rows = [tail]
     for _ in range(phi + 1, m):
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [r + top * t for r, t in zip(row, tail)]
-        rows.append(tuple(row))
+        row = {i + 1: c for i, c in rows[-1]}
+        top = row.pop(phi, 0)
+        for i, t in tail:
+            row[i] = row.get(i, 0) + top * t
+        rows.append(tuple(sorted((i, c) for i, c in row.items() if c)))
     return tuple(rows)
 
 
@@ -175,17 +174,14 @@ def _reduce_int_mod_cyclo(m, vec):
     # x^m = 1 holds mod Phi_m, so fold high exponents first
     vec = _fold(vec, m) if len(vec) > m else list(vec)
     if len(vec) > phi:
-        tail_nz = _phi_tail(m)
-        for k in range(len(vec) - 1, phi - 1, -1):
+        rows = _reduction_rows(m)
+        for k in range(phi, len(vec)):
             c = vec[k]
             if c:
-                vec[k] = 0
-                base = k - phi
-                for i, t in tail_nz:
-                    vec[base + i] += c * t
+                for i, t in rows[k - phi]:
+                    vec[i] += c * t
         del vec[phi:]
-    while len(vec) < phi:
-        vec.append(0)
+    vec += [0] * (phi - len(vec))
     return vec
 
 
@@ -255,7 +251,7 @@ class CycloElement:
         """Canonical form of (sum c * zeta_m^e) / den over an iterable of (c, e).
 
         Terms are bucketed by exponent mod m first, so each exponent at or
-        above phi(m) costs one reduction row however many terms share it.
+        above phi(m) costs one sparse reduction row however many share it.
         """
         conductor = int(conductor)
         phi = euler_phi(conductor)
@@ -283,12 +279,8 @@ class CycloElement:
         if high:
             rows = _reduction_rows(conductor)
             for e, cn in high.items():
-                if cn == 1:
-                    num = [v + r for v, r in zip(num, rows[e - phi])]
-                elif cn == -1:
-                    num = [v - r for v, r in zip(num, rows[e - phi])]
-                elif cn:
-                    num = [v + cn * r for v, r in zip(num, rows[e - phi])]
+                for i, t in rows[e - phi]:
+                    num[i] += cn * t
         return _canonical(conductor, num, tden * den)
 
     @classmethod

@@ -37,6 +37,17 @@ class _AtCap:
 AT_CAP = _AtCap()
 
 
+def _make(p, precision, modulus, coeffs):
+    """The element coeffs mod modulus, unchecked: p, precision and modulus
+    come from a valid element and coeffs are p - 1 integers."""
+    x = object.__new__(PadicCycloElement)
+    x.p = p
+    x.precision = precision
+    x.modulus = modulus
+    x.coeffs = tuple(c % modulus for c in coeffs)
+    return x
+
+
 class PadicCycloElement:
     """Element of Z_p[zeta_p] mod p^M on the basis 1, zeta, ..., zeta^{p-2}."""
 
@@ -91,14 +102,13 @@ class PadicCycloElement:
         if not isinstance(other, PadicCycloElement):
             return NotImplemented
         self._check(other)
-        return PadicCycloElement(
-            self.p, self.precision, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return _make(self.p, self.precision, self.modulus, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicCycloElement(self.p, self.precision, [-c for c in self.coeffs])
+        return _make(self.p, self.precision, self.modulus, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, PadicCycloElement) else -int(other))
@@ -108,14 +118,12 @@ class PadicCycloElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return PadicCycloElement(
-                self.p, self.precision, [c * other for c in self.coeffs]
-            )
+            return _make(self.p, self.precision, self.modulus, [c * other for c in self.coeffs])
         if not isinstance(other, PadicCycloElement):
             return NotImplemented
         self._check(other)
         prod = _reduce_int_mod_cyclo(self.p, _polymul_int(self.coeffs, other.coeffs))
-        return PadicCycloElement(self.p, self.precision, prod)
+        return _make(self.p, self.precision, self.modulus, prod)
 
     __rmul__ = __mul__
 

@@ -161,8 +161,10 @@ def test_gauss_n_filter(capsys):
         ),
         # the Prop 3.12 box counts and the crosscheck table route
         ("verify stickelberger --format json", "9bdfc0c9ced4e05232c99b61181a3731"),
+        # the largest phi in the suite: 336, at conductor 812
+        ("verify gauss --p 29 --format json", "5cd7c2a33dfe6bb3ba8897a28b3d9082"),
     ],
-    ids=["groupring", "gauss", "wild", "gauss-p31-n30", "stickelberger"],
+    ids=["groupring", "gauss", "wild", "gauss-p31-n30", "stickelberger", "gauss-p29"],
 )
 def test_report_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0

@@ -10,6 +10,7 @@ from resolvendlab.cyclotomic import (
     CycloElement,
     _fold,
     _reduce_int_mod_cyclo,
+    _reduction_rows,
     conjugate,
     cyclotomic_polynomial,
     galois_map,
@@ -264,6 +265,43 @@ def test_fold_matches_modular_accumulation(m, vec):
     assert _fold(vec, m) == direct
 
 
+# every conductor up to 120, and the gauss conductors p(p-1) for odd p <= 31
+_ROW_CONDUCTORS = sorted(
+    set(range(1, 121)) | {p * (p - 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)}
+)
+
+
+@pytest.mark.parametrize("m", _ROW_CONDUCTORS)
+def test_reduction_rows_match_long_division(m):
+    # the remainder of x^k is x times the remainder of x^{k-1}, less its
+    # top coefficient times Phi_m: one step of dense long division each
+    phi = euler_phi(m)
+    mono = cyclotomic_polynomial(m)
+    expect = []
+    rem = [0] * phi + [1]  # x^phi before its division step
+    for _ in range(phi, m):
+        top = rem[phi]
+        rem = [r - top * c for r, c in zip(rem, mono)]
+        expect.append(tuple((i, c) for i, c in enumerate(rem[:phi]) if c))
+        rem = [0] + rem[:phi]
+    # m = 1 also carries the row of x^1, which is 1
+    assert _reduction_rows(m)[: m - phi] == tuple(expect)
+
+
+@st.composite
+def _long_vectors(draw):
+    m = draw(st.integers(min_value=1, max_value=60))
+    vec = draw(st.lists(st.integers(-(10**6), 10**6), max_size=3 * m))
+    return m, vec
+
+
+@_property
+@given(_long_vectors())
+def test_reduce_matches_descending_reference(data):
+    m, vec = data
+    assert _reduce_int_mod_cyclo(m, vec) == _reduce_descending(m, vec)
+
+
 # Fraction-per-coefficient reference route for the product
 
 
@@ -284,13 +322,33 @@ def _polymul_frac(a, b):
     return _strip(out)
 
 
-def _reduce_frac_mod(m, poly):
+def _reduce_descending(m, vec):
+    """Reference reduction mod Phi_m: plain long division, clearing exponents
+    from the top down with x^phi = sum t_i x^i.  It neither folds by x^m = 1
+    nor reads the sparse rows, the two steps of the kernel under test."""
     phi = euler_phi(m)
+    vec = list(vec)
+    if len(vec) > phi:
+        tail_nz = [(i, -c) for i, c in enumerate(cyclotomic_polynomial(m)[:-1]) if c]
+        for k in range(len(vec) - 1, phi - 1, -1):
+            c = vec[k]
+            if c:
+                vec[k] = 0
+                base = k - phi
+                for i, t in tail_nz:
+                    vec[base + i] += c * t
+        del vec[phi:]
+    while len(vec) < phi:
+        vec.append(0)
+    return vec
+
+
+def _reduce_frac_mod(m, poly):
     den = 1
     for c in poly:
         den = lcm(den, c.denominator)
     ints = [c.numerator * (den // c.denominator) for c in poly]
-    red = _reduce_int_mod_cyclo(m, ints)
+    red = _reduce_descending(m, ints)
     return [Fraction(v, den) for v in red]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvendlab.abelian import FiniteAbelianGroup, dual_enumerate
+from resolvendlab.abelian import FiniteAbelianGroup, char_exponent, dual_enumerate
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.groupring import (
     CharacterVector,
@@ -83,8 +83,6 @@ def test_inverse_transform_examples():
     ones = CharacterVector.constant(g, 9, CycloElement.one(9))
     assert inverse_transform(ones) == GroupMap.indicator(g, 9, g.identity())
     # phi(chi) = chi(s0)^{-1} pulls back to the indicator of s0
-    from resolvendlab.abelian import char_exponent
-
     s0 = g.element((4,))
     phi = CharacterVector.from_function(
         g, 9, lambda chi: root_of_unity(9, -char_exponent(g, chi, s0))
@@ -102,6 +100,20 @@ def test_transform_roundtrip():
         for chi in dual_enumerate(g):
             assert transform(r)(chi) == resolvent(a, chi)
         break  # the per-character loop is the expensive half; one pass suffices
+
+
+@pytest.mark.parametrize("literal", ["3", "9", "3,3", "15", "2,4", "30"])
+def test_transform_of_group_element_is_character_value(literal):
+    # a sign or offset slip in transform can cancel in a round trip, so
+    # check transform(s)(chi) = chi(s) against the root built directly
+    g = FiniteAbelianGroup.from_literal(literal)
+    m = g.exponent
+    for n in (m, 2 * m):
+        for s in g.elements():
+            r = GroupRingElement(g, n, {t: int(t == s) for t in g.elements()})
+            values = transform(r)
+            for chi in dual_enumerate(g):
+                assert values(chi) == root_of_unity(n, (n // m) * char_exponent(g, chi, s))
 
 
 _fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)

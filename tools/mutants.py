@@ -1,0 +1,153 @@
+"""Mutation check: every seeded bug in src/ must be caught by its named tests.
+
+    python3 tools/mutants.py              # run every mutant
+    python3 tools/mutants.py NAME ...     # run the named mutants only
+
+Each mutant is one textual replacement in one file of src/resolvendlab,
+which must match exactly once.  For each mutant the script copies src/ into
+a temporary directory under the working tree, applies the replacement there
+and runs only the tests named for it, with the copy first on PYTHONPATH.
+A mutant is killed when those tests fail.  Before any mutant, the named
+tests must pass on an unmutated copy, or a kill would prove nothing.
+
+Prints one line per mutant and exits 1 if any mutant survives or does not
+apply.  This is not part of tier-1: it runs pytest once per mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/resolvendlab
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+_ROWS = "tests/test_cyclotomic.py::test_reduction_rows_match_long_division"
+_REDUCE = "tests/test_cyclotomic.py::test_reduce_matches_descending_reference"
+_ARITH = "tests/test_cyclotomic.py::test_arithmetic_matches_fraction_reference"
+_FROM_TERMS = "tests/test_cyclotomic.py::test_from_terms_and_mul_root"
+_ROOTS = "tests/test_cyclotomic.py::test_root_of_unity_basics"
+_PADIC_MUL = "tests/test_padic.py::test_mul_and_pow_match_schoolbook"
+_PADIC_RING = "tests/test_padic.py::test_ring_axioms_random"
+_TRANSFORM = "tests/test_groupring.py::test_transform_of_group_element_is_character_value"
+
+MUTANTS = (
+    Mutant(
+        "rows-index-off-by-one",
+        "cyclotomic.py",
+        "row = {i + 1: c for i, c in rows[-1]}",
+        "row = {i + 2: c for i, c in rows[-1]}",
+        (_ROWS, _FROM_TERMS),
+    ),
+    Mutant(
+        "rows-sign-flipped",
+        "cyclotomic.py",
+        "row[i] = row.get(i, 0) + top * t",
+        "row[i] = row.get(i, 0) - top * t",
+        (_ROWS, _REDUCE),
+    ),
+    Mutant(
+        "rows-one-skipped",
+        "cyclotomic.py",
+        "for _ in range(phi + 1, m):",
+        "for _ in range(phi + 2, m):",
+        (_ROWS, _ARITH),
+    ),
+    Mutant(
+        "from-terms-wrong-row",
+        "cyclotomic.py",
+        "for i, t in rows[e - phi]:",
+        "for i, t in rows[e - phi - 1]:",
+        (_FROM_TERMS, _ROOTS),
+    ),
+    Mutant(
+        "reduce-fold-dropped",
+        "cyclotomic.py",
+        "vec = _fold(vec, m) if len(vec) > m else list(vec)",
+        "vec = list(vec)",
+        (_REDUCE, _ARITH),
+    ),
+    Mutant(
+        "padic-make-unreduced",
+        "padic.py",
+        "x.coeffs = tuple(c % modulus for c in coeffs)",
+        "x.coeffs = tuple(coeffs)",
+        (_PADIC_MUL, _PADIC_RING),
+    ),
+    Mutant(
+        "transform-sign-flipped",
+        "groupring.py",
+        "_root_sum(n, support, den, lambda s: _root_exponent(group, n, chi, s, +1))",
+        "_root_sum(n, support, den, lambda s: _root_exponent(group, n, chi, s, -1))",
+        (_TRANSFORM,),
+    ),
+)
+
+
+def _copy_src(into):
+    src = os.path.join(into, "src")
+    shutil.copytree(
+        os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return src
+
+
+def _tests_pass(src, tests):
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    return done.returncode == 0
+
+
+def _apply(src, mutant):
+    path = os.path.join(src, "resolvendlab", mutant.file)
+    with open(path) as fh:
+        text = fh.read()
+    if text.count(mutant.old) != 1:
+        return False
+    with open(path, "w") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def main(names):
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutants: %s" % ", ".join(sorted(unknown)), file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(dir=ROOT, prefix=".mutants-") as tmp:
+        src = _copy_src(os.path.join(tmp, "clean"))
+        tests = sorted({t for m in chosen for t in m.tests})
+        if not _tests_pass(src, tests):
+            print("the named tests fail without a mutant", file=sys.stderr)
+            return 2
+        bad = 0
+        for i, mutant in enumerate(chosen):
+            src = _copy_src(os.path.join(tmp, str(i)))
+            if not _apply(src, mutant):
+                verdict = "does not apply"
+            elif _tests_pass(src, mutant.tests):
+                verdict = "SURVIVED"
+            else:
+                verdict = "killed"
+            bad += verdict != "killed"
+            print("%-26s %s" % (mutant.name, verdict), flush=True)
+    print("%d of %d mutants killed" % (len(chosen) - bad, len(chosen)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
