@@ -22,7 +22,7 @@ from math import gcd, lcm, prod
 class FiniteAbelianGroup:
     """Invariant factors d_1 | d_2 | ... | d_r; () is the trivial group."""
 
-    __slots__ = ("invariant_factors", "_elements", "_dual")
+    __slots__ = ("invariant_factors", "_elements", "_dual", "_table")
 
     def __init__(self, invariant_factors=()):
         factors = tuple(int(d) for d in invariant_factors)
@@ -37,6 +37,7 @@ class FiniteAbelianGroup:
         self.invariant_factors = factors
         self._elements = None
         self._dual = None
+        self._table = None
 
     @classmethod
     def from_literal(cls, text):
@@ -68,9 +69,6 @@ class FiniteAbelianGroup:
 
     def identity(self):
         return GroupElement(self, (0,) * len(self.invariant_factors))
-
-    def trivial_character(self):
-        return Character(self, (0,) * len(self.invariant_factors))
 
     def elements(self):
         if self._elements is None:
@@ -180,3 +178,15 @@ def dual_enumerate(group):
             for coords in itertools.product(*[range(d) for d in group.invariant_factors])
         )
     return group._dual
+
+
+def char_table(group):
+    """The |G^| x |G| table of char_exponent: row i is the i-th character of
+    dual_enumerate(group), column j the j-th element of group.elements()."""
+    if group._table is None:
+        elements = group.elements()
+        group._table = tuple(
+            tuple(char_exponent(group, chi, s) for s in elements)
+            for chi in dual_enumerate(group)
+        )
+    return group._table

@@ -7,15 +7,17 @@ the common content, so equality of values is equality of tuples.  Roots
 for different conductors are compatible through zeta_{mn}^n = zeta_m; mixed
 binary operations raise both operands to the lcm conductor first.
 
-Coefficient work is done on integer vectors over a common denominator.
-Dense products go through a packed big-integer multiply so that conductors
-in the low thousands stay cheap.  Every reduction mod Phi_m, of a sum of
-roots of unity or of a product, folds by x^m = 1 and then adds one cached
-sparse row x^k mod Phi_m per exponent k >= phi(m) left.  The same product
-and reduction serve Z_p[zeta_p] (padic); the square-and-multiply helper
-serves padic and the packed gauss power sums in Z[y]/(y^{pn} - 1) as well.
-Inverses are the product of the other Galois conjugates over the rational
-norm, so no arithmetic here works on Fraction polynomials.
+Coefficients are integer vectors over one denominator, and from_terms,
+which builds every sum of roots of unity, takes integer terms the same way;
+only the constructor, from_rational and from_json read Fractions.  Products
+above 14 x 14 coefficients go through a packed big-integer multiply so that
+conductors in the low thousands stay cheap.  Every reduction mod Phi_m, of
+a sum of roots of unity or of a product, folds by x^m = 1 and then adds one
+cached sparse row x^k mod Phi_m per exponent k >= phi(m) left.  The same
+product and reduction serve Z_p[zeta_p] (padic); the square-and-multiply
+helper serves padic and the packed gauss power sums in Z[y]/(y^{pn} - 1) as
+well.  Inverses are the product of the other Galois conjugates over the
+rational norm, so no arithmetic here works on Fraction polynomials.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from math import gcd, lcm
 
 from .numutil import divisor_list, euler_phi
 
-_SCHOOLBOOK_CUTOFF = 1024
+# packed products win from about 15 x 15 (4- and 30-bit coefficients, CPython 3.11)
+_SCHOOLBOOK_CUTOFF = 196
 
 
 def _as_fraction(c):
@@ -120,19 +123,15 @@ def cyclotomic_polynomial(m):
 
 
 @lru_cache(maxsize=16)
-def _phi_tail(m):
-    """Pairs (i, t_i) with x^phi = sum t_i x^i mod Phi_m (Phi_m is monic)."""
-    mono = cyclotomic_polynomial(m)
-    return tuple((i, -c) for i, c in enumerate(mono[:-1]) if c)
-
-
-@lru_cache(maxsize=16)
 def _reduction_rows(m):
     """Sparse x^k mod Phi_m, k in [phi(m), m): row k - phi(m) holds the (i, c)
-    with c != 0 the coefficient of z^i, i increasing.  Row 0 is _phi_tail(m),
-    which only seeds the rest; each row is the one before times x."""
+    with c != 0 the coefficient of z^i, i increasing.  Row 0 is x^phi, read off
+    the monic Phi_m; each later row is the one before times x.  m = 1 has no
+    rows."""
+    if m == 1:
+        return ()
     phi = euler_phi(m)
-    tail = _phi_tail(m)
+    tail = tuple((i, -c) for i, c in enumerate(cyclotomic_polynomial(m)[:-1]) if c)
     rows = [tail]
     for _ in range(phi + 1, m):
         row = {i + 1: c for i, c in rows[-1]}
@@ -248,7 +247,8 @@ class CycloElement:
 
     @classmethod
     def from_terms(cls, conductor, terms, den=1):
-        """Canonical form of (sum c * zeta_m^e) / den over an iterable of (c, e).
+        """Canonical form of (sum c * zeta_m^e) / den over an iterable of
+        integer pairs (c, e), den a positive integer.
 
         Terms are bucketed by exponent mod m first, so each exponent at or
         above phi(m) costs one sparse reduction row however many share it.
@@ -257,31 +257,20 @@ class CycloElement:
         phi = euler_phi(conductor)
         num = [0] * phi
         high = {}
-        tden = 1
         for c, e in terms:
-            if type(c) is int or not isinstance(c, Fraction):
-                cn, cd = int(c), 1
-            else:
-                cn, cd = c.numerator, c.denominator
-            if not cn:
+            if not c:
                 continue
-            if tden % cd:
-                f = cd // gcd(tden, cd)
-                num = [v * f for v in num]
-                high = {k: v * f for k, v in high.items()}
-                tden *= f
-            cn *= tden // cd
             e %= conductor
             if e < phi:
-                num[e] += cn
+                num[e] += c
             else:
-                high[e] = high.get(e, 0) + cn
+                high[e] = high.get(e, 0) + c
         if high:
             rows = _reduction_rows(conductor)
-            for e, cn in high.items():
+            for e, c in high.items():
                 for i, t in rows[e - phi]:
-                    num[i] += cn * t
-        return _canonical(conductor, num, tden * den)
+                    num[i] += c * t
+        return _canonical(conductor, num, den)
 
     @classmethod
     def from_json(cls, doc):

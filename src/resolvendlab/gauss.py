@@ -56,9 +56,6 @@ class MultiplicativeCharacter:
     def order(self):
         return self.n
 
-    def is_trivial(self):
-        return self.n == 1
-
     def exponent_of(self, k):
         """t with phi(k) = zeta_{p-1}^t; k must be prime to p."""
         k %= self.p
@@ -72,13 +69,6 @@ class MultiplicativeCharacter:
         if k % self.p == 0:
             return CycloElement.zero(self.p - 1)
         return root_of_unity(self.p - 1, self.exponent_of(k))
-
-    def value_padic(self, k, precision):
-        """phi(k) as a Teichmuller lift in truncated Z_p[zeta_p]."""
-        if k % self.p == 0:
-            return PadicCycloElement.zero(self.p, precision)
-        t = self.exponent_of(k)
-        return teichmuller(pow(self.rho, t, self.p), self.p, precision)
 
     def __eq__(self, other):
         return (

@@ -7,8 +7,12 @@ Conventions, fixed once:
     recovery       a(s)         = (1/|G|) sum_chi phi(chi) chi(s)
 
 so transform(resolvend(a)) evaluated at chi equals resolvent(a, chi), and
-inverse_transform undoes it.  Everything is dense and O(|G|^2); the scales
-here never justify anything fancier.
+inverse_transform undoes it.  Group maps, group-ring elements and character
+vectors are one keyed container over either the elements or the characters.
+All three sums run through one kernel: transform reads the rows of the
+group's cached char_table, inverse_transform its columns, and resolvent
+builds its one row from char_exponent directly.  Everything is dense and
+O(|G|^2); the scales here never justify anything fancier.
 """
 
 from __future__ import annotations
@@ -16,7 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .abelian import FiniteAbelianGroup, GroupElement, char_exponent, dual_enumerate
+from .abelian import (
+    FiniteAbelianGroup,
+    GroupElement,
+    char_exponent,
+    char_table,
+    dual_enumerate,
+)
 from .cyclotomic import CycloElement
 
 
@@ -34,9 +44,16 @@ def _coerce_value(value, conductor):
 
 
 class _GroupIndexed:
-    """Total map from group elements to cyclotomic values."""
+    """Total map from a key domain of the group to cyclotomic values.
+
+    The domain is the group's elements, in group.elements() order, unless a
+    subclass sets _keys to another enumeration; values keeps that order.
+    """
 
     __slots__ = ("group", "conductor", "values")
+
+    _keys = staticmethod(FiniteAbelianGroup.elements)
+    _key_noun = "group element"
 
     def __init__(self, group, conductor, values):
         conductor = int(conductor)
@@ -45,12 +62,12 @@ class _GroupIndexed:
                 "conductor %d is not divisible by the group exponent %d"
                 % (conductor, group.exponent)
             )
-        elements = group.elements()
-        if set(values) != set(elements):
-            raise ValueError("values must be given on every group element exactly once")
+        keys = self._keys(group)
+        if set(values) != set(keys):
+            raise ValueError("values must be given on every %s exactly once" % self._key_noun)
         self.group = group
         self.conductor = conductor
-        self.values = {s: _coerce_value(values[s], conductor) for s in elements}
+        self.values = {k: _coerce_value(values[k], conductor) for k in keys}
 
     def __call__(self, s):
         return self.values[s]
@@ -59,21 +76,19 @@ class _GroupIndexed:
         return (
             type(other) is type(self)
             and self.group == other.group
-            and all(self.values[s] == other.values[s] for s in self.group.elements())
+            and all(self.values[k] == other.values[k] for k in self._keys(self.group))
         )
 
     @classmethod
     def from_function(cls, group, conductor, fn):
-        return cls(group, conductor, {s: fn(s) for s in group.elements()})
+        return cls(group, conductor, {k: fn(k) for k in cls._keys(group)})
 
     @classmethod
     def constant(cls, group, conductor, value):
-        return cls(group, conductor, {s: value for s in group.elements()})
+        return cls(group, conductor, {k: value for k in cls._keys(group)})
 
     def to_json(self):
-        return [
-            [list(s.coords), self.values[s].to_json()] for s in self.group.elements()
-        ]
+        return [[list(k.coords), self.values[k].to_json()] for k in self._keys(self.group)]
 
 
 class GroupMap(_GroupIndexed):
@@ -81,9 +96,7 @@ class GroupMap(_GroupIndexed):
 
     @classmethod
     def indicator(cls, group, conductor, s0):
-        return cls(
-            group, conductor, {s: (1 if s == s0 else 0) for s in group.elements()}
-        )
+        return cls.from_function(group, conductor, lambda s: int(s == s0))
 
     def __repr__(self):
         return "GroupMap(%r, N=%d)" % (self.group, self.conductor)
@@ -94,11 +107,7 @@ class GroupRingElement(_GroupIndexed):
 
     @classmethod
     def identity(cls, group, conductor):
-        return cls(
-            group,
-            conductor,
-            {s: (1 if s.is_identity() else 0) for s in group.elements()},
-        )
+        return cls.from_function(group, conductor, lambda s: int(s.is_identity()))
 
     def __add__(self, other):
         if not isinstance(other, GroupRingElement) or other.group != self.group:
@@ -153,34 +162,8 @@ class CharacterVector(_GroupIndexed):
 
     __slots__ = ()
 
-    def __init__(self, group, conductor, values):
-        conductor = int(conductor)
-        if conductor % group.exponent:
-            raise ValueError(
-                "conductor %d is not divisible by the group exponent %d"
-                % (conductor, group.exponent)
-            )
-        dual = dual_enumerate(group)
-        if set(values) != set(dual):
-            raise ValueError("values must be given on every character exactly once")
-        self.group = group
-        self.conductor = conductor
-        self.values = {chi: _coerce_value(values[chi], conductor) for chi in dual}
-
-    @classmethod
-    def from_function(cls, group, conductor, fn):
-        return cls(group, conductor, {chi: fn(chi) for chi in dual_enumerate(group)})
-
-    @classmethod
-    def constant(cls, group, conductor, value):
-        return cls(group, conductor, {chi: value for chi in dual_enumerate(group)})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharacterVector)
-            and self.group == other.group
-            and all(self.values[chi] == other.values[chi] for chi in dual_enumerate(self.group))
-        )
+    _keys = staticmethod(dual_enumerate)
+    _key_noun = "character"
 
     def pointwise_mul(self, other):
         return CharacterVector(
@@ -197,19 +180,8 @@ class CharacterVector(_GroupIndexed):
             out[chi] = v.inverse()
         return CharacterVector(self.group, self.conductor, out)
 
-    def to_json(self):
-        return [
-            [list(chi.coords), self.values[chi].to_json()]
-            for chi in dual_enumerate(self.group)
-        ]
-
     def __repr__(self):
         return "CharacterVector(%r, N=%d)" % (self.group, self.conductor)
-
-
-def _root_exponent(group, conductor, chi, s, sign):
-    m = group.exponent
-    return sign * (conductor // m) * char_exponent(group, chi, s)
 
 
 def resolvend(a):
@@ -221,66 +193,54 @@ def resolvend(a):
 
 def resolvend_to_map(r):
     """Inverse of resolvend: read a(s) off the coefficient of s^{-1}."""
-    return GroupMap(
-        r.group, r.conductor, {s: r.values[s.inverse()] for s in r.group.elements()}
-    )
+    return GroupMap(r.group, r.conductor, resolvend(r).values)
 
 
-def _common_terms(values, conductor):
-    """The nonzero values raised to the conductor over one denominator.
+def _character_sums(x, rows, den_scale=1):
+    """sum_k x(k) * zeta_m^(e_k) / den_scale for each exponent row e, k over
+    x's keys in order and m = exponent(G), as elements of Q(zeta_N).
 
-    Returns (support, den): support lists (key, [(i, n_i), ...]) with
-    value = sum n_i zeta^i / den for each key whose value is nonzero.
+    The nonzero values are raised to N once over one denominator, and each
+    row costs one from_terms pass.
     """
-    raised = [(k, v.raise_conductor(conductor)) for k, v in values.items() if not v.is_zero()]
+    n = x.conductor
+    step = n // x.group.exponent
+    raised = [
+        (j, v.raise_conductor(n)) for j, v in enumerate(x.values.values()) if not v.is_zero()
+    ]
     den = lcm(*(v.den for _, v in raised))
     support = [
-        (k, [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c]) for k, v in raised
+        (j, [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c]) for j, v in raised
     ]
-    return support, den
-
-
-def _root_sum(conductor, support, den, exponent):
-    """sum over the support of value(key) * zeta^exponent(key), in one
-    from_terms pass."""
-    terms = []
-    for k, pairs in support:
-        e = exponent(k)
-        terms.extend((c, i + e) for i, c in pairs)
-    return CycloElement.from_terms(conductor, terms, den)
+    den *= den_scale
+    return [
+        CycloElement.from_terms(
+            n, ((c, i + step * e[j]) for j, pairs in support for i, c in pairs), den
+        )
+        for e in rows
+    ]
 
 
 def resolvent(a, chi):
     """(a | chi) = sum_s a(s) chi(s)^{-1}, exact in Q(zeta_N)."""
-    support, den = _common_terms(a.values, a.conductor)
-    return _root_sum(
-        a.conductor, support, den, lambda s: _root_exponent(a.group, a.conductor, chi, s, -1)
-    )
+    group = a.group
+    row = [-char_exponent(group, chi, s) for s in group.elements()]
+    return _character_sums(a, [row])[0]
 
 
 def transform(r):
     """Evaluate sum_s c_s s at every character: chi -> sum_s c_s chi(s)."""
-    group, n = r.group, r.conductor
-    support, den = _common_terms(r.values, n)
-    out = {
-        chi: _root_sum(n, support, den, lambda s: _root_exponent(group, n, chi, s, +1))
-        for chi in dual_enumerate(group)
-    }
-    return CharacterVector(group, n, out)
+    group = r.group
+    sums = _character_sums(r, char_table(group))
+    return CharacterVector(group, r.conductor, dict(zip(dual_enumerate(group), sums)))
 
 
 def inverse_transform(phi):
     """Recover the map a with resolvent(a, chi) = phi(chi) for all chi:
     a(s) = (1/|G|) sum_chi phi(chi) chi(s)."""
-    group, n = phi.group, phi.conductor
-    support, den = _common_terms(phi.values, n)
-    out = {
-        s: _root_sum(
-            n, support, den * group.order, lambda chi: _root_exponent(group, n, chi, s, +1)
-        )
-        for s in group.elements()
-    }
-    return GroupMap(group, n, out)
+    group = phi.group
+    sums = _character_sums(phi, zip(*char_table(group)), group.order)
+    return GroupMap(group, phi.conductor, dict(zip(group.elements(), sums)))
 
 
 def is_unit(r):

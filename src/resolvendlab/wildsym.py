@@ -335,7 +335,7 @@ def resolvent_at(ctx, k):
         scale = base.as_rational()
         w = mono.weight(p)
         coeff = CycloElement.from_terms(
-            p, ((scale, j * (w - k)) for j in range(p))
+            p, ((scale.numerator, j * (w - k)) for j in range(p)), scale.denominator
         )
         if not coeff.is_zero():
             out[mono] = coeff

@@ -5,6 +5,7 @@ import pytest
 from resolvendlab.abelian import (
     FiniteAbelianGroup,
     char_exponent,
+    char_table,
     dual_enumerate,
     element_order,
 )
@@ -108,6 +109,17 @@ def test_char_exponent_bilinear():
             char_exponent(g, chi ** a, s ** b)
             - a * b * char_exponent(g, chi, s)
         ) % m == 0
+
+
+@pytest.mark.parametrize("literal", ["()", "3", "9", "3,3", "15", "2,4", "30", "3,9"])
+def test_char_table_matches_char_exponent(literal):
+    # rows in dual_enumerate order, columns in elements() order
+    g = FiniteAbelianGroup.from_literal(literal)
+    table = char_table(g)
+    assert len(table) == g.order
+    for chi, row in zip(dual_enumerate(g), table):
+        assert row == tuple(char_exponent(g, chi, s) for s in g.elements())
+    assert char_table(g) is table
 
 
 def test_dual_enumerate_counts():

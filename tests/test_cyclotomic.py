@@ -284,8 +284,7 @@ def test_reduction_rows_match_long_division(m):
         rem = [r - top * c for r, c in zip(rem, mono)]
         expect.append(tuple((i, c) for i, c in enumerate(rem[:phi]) if c))
         rem = [0] + rem[:phi]
-    # m = 1 also carries the row of x^1, which is 1
-    assert _reduction_rows(m)[: m - phi] == tuple(expect)
+    assert _reduction_rows(m) == tuple(expect)
 
 
 @st.composite
@@ -300,6 +299,27 @@ def _long_vectors(draw):
 def test_reduce_matches_descending_reference(data):
     m, vec = data
     assert _reduce_int_mod_cyclo(m, vec) == _reduce_descending(m, vec)
+
+
+@st.composite
+def _integer_terms(draw):
+    m = draw(st.integers(min_value=1, max_value=60))
+    term = st.tuples(st.integers(-50, 50), st.integers(-3 * m, 3 * m))
+    return m, draw(st.lists(term, max_size=20)), draw(st.integers(2, 36))
+
+
+@_property
+@given(_integer_terms())
+def test_from_terms_over_den_matches_fraction_route(data):
+    # the same sum with one Fraction per term, reduced by long division and
+    # handed to the constructor
+    m, terms, den = data
+    dense = [Fraction(0)] * m
+    for c, e in terms:
+        dense[e % m] += Fraction(c, den)
+    got = CycloElement.from_terms(m, terms, den)
+    _assert_canonical(got)
+    assert got == CycloElement(m, _reduce_frac_mod(m, dense))
 
 
 # Fraction-per-coefficient reference route for the product

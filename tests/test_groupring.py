@@ -90,6 +90,14 @@ def test_inverse_transform_examples():
     assert inverse_transform(phi) == GroupMap.indicator(g, 9, s0)
 
 
+def test_containers_reject_the_other_key_domain():
+    g = FiniteAbelianGroup((3,))
+    with pytest.raises(ValueError, match="every character"):
+        CharacterVector(g, 3, {s: 1 for s in g.elements()})
+    with pytest.raises(ValueError, match="every group element"):
+        GroupMap(g, 3, {chi: 1 for chi in dual_enumerate(g)})
+
+
 def test_transform_roundtrip():
     rng = random.Random("transform")
     g = FiniteAbelianGroup((3, 3))

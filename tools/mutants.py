@@ -42,6 +42,9 @@ _ROOTS = "tests/test_cyclotomic.py::test_root_of_unity_basics"
 _PADIC_MUL = "tests/test_padic.py::test_mul_and_pow_match_schoolbook"
 _PADIC_RING = "tests/test_padic.py::test_ring_axioms_random"
 _TRANSFORM = "tests/test_groupring.py::test_transform_of_group_element_is_character_value"
+_INVERSE = "tests/test_groupring.py::test_inverse_transform_examples"
+_ROUNDTRIP = "tests/test_groupring.py::test_transform_roundtrip"
+_KEYS = "tests/test_groupring.py::test_containers_reject_the_other_key_domain"
 
 MUTANTS = (
     Mutant(
@@ -87,11 +90,46 @@ MUTANTS = (
         (_PADIC_MUL, _PADIC_RING),
     ),
     Mutant(
+        "rows-first-skipped",
+        "cyclotomic.py",
+        "return tuple(rows)",
+        "return tuple(rows[1:])",
+        (_ROWS, _FROM_TERMS),
+    ),
+    Mutant(
         "transform-sign-flipped",
         "groupring.py",
-        "_root_sum(n, support, den, lambda s: _root_exponent(group, n, chi, s, +1))",
-        "_root_sum(n, support, den, lambda s: _root_exponent(group, n, chi, s, -1))",
+        "sums = _character_sums(r, char_table(group))",
+        "sums = _character_sums(r, [[-e for e in row] for row in char_table(group)])",
         (_TRANSFORM,),
+    ),
+    Mutant(
+        "sums-step-dropped",
+        "groupring.py",
+        "i + step * e[j]",
+        "i + e[j]",
+        (_TRANSFORM,),
+    ),
+    Mutant(
+        "inverse-den-scale-dropped",
+        "groupring.py",
+        "_character_sums(phi, zip(*char_table(group)), group.order)",
+        "_character_sums(phi, zip(*char_table(group)))",
+        (_INVERSE,),
+    ),
+    Mutant(
+        "resolvent-sign-flipped",
+        "groupring.py",
+        "row = [-char_exponent(group, chi, s) for s in group.elements()]",
+        "row = [char_exponent(group, chi, s) for s in group.elements()]",
+        (_ROUNDTRIP,),
+    ),
+    Mutant(
+        "vector-keyed-by-elements",
+        "groupring.py",
+        "_keys = staticmethod(dual_enumerate)",
+        "_keys = staticmethod(FiniteAbelianGroup.elements)",
+        (_KEYS, _INVERSE),
     ),
 )
 
