@@ -39,7 +39,7 @@ class MultiplicativeCharacter:
     p-adic realization replaces zeta_{p-1} by the Teichmuller lift of rho.
     """
 
-    __slots__ = ("p", "n", "rho")
+    __slots__ = ("p", "n")
 
     def __init__(self, p, n):
         p = int(p)
@@ -50,7 +50,6 @@ class MultiplicativeCharacter:
             raise ValueError("order %d does not divide %d" % (n, p - 1))
         self.p = p
         self.n = n
-        self.rho = least_primitive_root(p)
 
     @property
     def order(self):

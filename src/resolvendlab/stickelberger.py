@@ -12,6 +12,7 @@ when fractional exponents are absorbed by p-th power structure in g.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .abelian import (
@@ -22,23 +23,61 @@ from .abelian import (
     dual_enumerate,
     element_order,
 )
+from .cyclotomic import _as_fraction
 
 
-class VirtualCharacter:
-    """Formal integer combination of characters of one group."""
+class _SparseCombination:
+    """Formal combination sum_k c_k k over keys of one group, stored sparsely.
+
+    Each coefficient that is not already of the subclass's _exact type goes
+    through its _coerce, which rejects floats; equal keys merge and zero
+    coefficients drop out.
+    """
 
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group, coeffs):
+        exact, coerce = self._exact, self._coerce
         clean = {}
-        for chi, n in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            if chi.group != group:
-                raise ValueError("character %r does not live on %r" % (chi, group))
-            n = int(n)
-            if n:
-                clean[chi] = clean.get(chi, 0) + n
+        for k, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+            if k.group != group:
+                raise ValueError("%s %r does not live on %r" % (self._noun, k, group))
+            if type(c) is not exact:
+                c = coerce(c)
+            if c:
+                clean[k] = clean.get(k, 0) + c
         self.group = group
-        self.coeffs = {chi: n for chi, n in clean.items() if n}
+        self.coeffs = {k: c for k, c in clean.items() if c}
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.group != self.group:
+            return NotImplemented
+        merged = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            merged[k] = merged.get(k, 0) + c
+        return type(self)(self.group, merged)
+
+    def __neg__(self):
+        return type(self)(self.group, {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.group == other.group
+            and self.coeffs == other.coeffs
+        )
+
+
+class VirtualCharacter(_SparseCombination):
+    """Formal integer combination of characters of one group."""
+
+    __slots__ = ()
+    _noun = "character"
+    _exact = int
+    _coerce = staticmethod(operator.index)
 
     @classmethod
     def zero(cls, group):
@@ -51,31 +90,10 @@ class VirtualCharacter:
     def items(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].coords)
 
-    def __add__(self, other):
-        if not isinstance(other, VirtualCharacter) or other.group != self.group:
-            return NotImplemented
-        merged = dict(self.coeffs)
-        for chi, n in other.coeffs.items():
-            merged[chi] = merged.get(chi, 0) + n
-        return VirtualCharacter(self.group, merged)
-
-    def __neg__(self):
-        return VirtualCharacter(self.group, {chi: -n for chi, n in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def conjugate(self):
         """chi -> chi^{-1} on every summand."""
         return VirtualCharacter(
             self.group, [(chi.inverse(), n) for chi, n in self.coeffs.items()]
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VirtualCharacter)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
         )
 
     def __repr__(self):
@@ -86,38 +104,16 @@ class VirtualCharacter:
         )
 
 
-class RationalGroupElement:
+class RationalGroupElement(_SparseCombination):
     """Element of Q[G] as a total map G -> Q, stored sparsely."""
 
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group, coeffs):
-        clean = {}
-        for s, q in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            if s.group != group:
-                raise ValueError("element %r does not live on %r" % (s, group))
-            q = q if isinstance(q, Fraction) else Fraction(q)
-            if q:
-                clean[s] = clean.get(s, Fraction(0)) + q
-        self.group = group
-        self.coeffs = {s: q for s, q in clean.items() if q}
+    __slots__ = ()
+    _noun = "element"
+    _exact = Fraction
+    _coerce = staticmethod(_as_fraction)
 
     def __getitem__(self, s):
         return self.coeffs.get(s, Fraction(0))
-
-    def __add__(self, other):
-        if not isinstance(other, RationalGroupElement) or other.group != self.group:
-            return NotImplemented
-        merged = dict(self.coeffs)
-        for s, q in other.coeffs.items():
-            merged[s] = merged.get(s, Fraction(0)) + q
-        return RationalGroupElement(self.group, merged)
-
-    def __neg__(self):
-        return RationalGroupElement(self.group, {s: -q for s, q in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def is_zero(self):
         return not self.coeffs
@@ -130,13 +126,6 @@ class RationalGroupElement:
         """The coordinate permutation s -> s^e, gcd(e, exponent) = 1."""
         return RationalGroupElement(
             self.group, [(s**e, q) for s, q in self.coeffs.items()]
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalGroupElement)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
         )
 
     def __repr__(self):

@@ -1,15 +1,22 @@
 """Batch verification suites with deterministic, citation-tagged reports.
 
-Each suite exercises one family of identities and returns ReportRecord rows.
-Reports carry no timestamps and every randomized case derives its generator
-from the configured seed plus the case name, so the same configuration
-always produces byte-identical JSON.
+Each suite exercises one family of identities.  Its SUITES entry,
+run_<suite>(config), checks the suite's whole config first, raising
+ValueError on a bad flag, and then returns an iterator of rows: one
+(case, citation, passed, witness) tuple per case, computed lazily as the
+iterator is drawn.  run calls every selected entry before it draws a single
+row, so a bad flag is reported before any case runs; it then builds each
+row into a ReportRecord stamped with its SUITES key.  Reports carry no
+timestamps and every randomized case derives its generator from the
+configured seed plus the case name, so the same configuration always
+produces byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 from math import gcd
 
@@ -144,10 +151,26 @@ def _case_rng(seed, case):
     return random.Random("%s-%s" % (seed, case))
 
 
+def _literals(config, default, odd=False):
+    """The configured group literals, or default; each must parse and, with
+    odd, name a group of odd order."""
+    literals = tuple(config.groups) or default
+    for literal in literals:
+        group = FiniteAbelianGroup.from_literal(literal)
+        if odd and group.order % 2 == 0:
+            raise ValueError(
+                "suite needs odd group order, got %s (order %d)"
+                % (literal, group.order)
+            )
+    return literals
+
+
 # -- gauss ---------------------------------------------------------------
 
 
-def _gauss_identity_records(p, n):
+def _gauss_rows(p, n, precision, deep, coherent):
+    """Lemma 4.4 at (p, n); with deep and n > 1 also the valuations,
+    character sums and power sums; with coherent also backend coherence."""
     phi = MultiplicativeCharacter(p, n)
     at_zero = gauss_sum(phi, 0)
     if n == 1:
@@ -158,80 +181,51 @@ def _gauss_identity_records(p, n):
     else:
         ok = at_zero.is_zero()
     ok = ok and all(verify_translation(phi, j) for j in range(1, p))
-    return [
-        ReportRecord(
-            "gauss",
-            "lemma-4.4:p%d:n%d" % (p, n),
-            "Lemma 4.4",
-            ok,
-            {"p": p, "n": n, "j_checked": p - 1},
-        )
-    ]
-
-
-def _gauss_valuation_records(p, n, precision, with_coherence):
-    phi = MultiplicativeCharacter(p, n)
+    yield "lemma-4.4:p%d:n%d" % (p, n), "Lemma 4.4", ok, {
+        "p": p,
+        "n": n,
+        "j_checked": p - 1,
+    }
+    if n == 1 or not deep:
+        return
     bound = (p - 1) // n
-    recs = []
     for j in range(1, p):
         v = gauss_valuation(phi, j, precision)
         ok = v >= bound and (n != 2 or v == bound)
-        recs.append(
-            ReportRecord(
-                "gauss",
-                "valuation:p%d:n%d:j%d" % (p, n, j),
-                "Prop 4.6",
-                ok,
-                {"p": p, "n": n, "j": j, "valuation": v, "bound": bound},
-            )
-        )
-        recs.append(
-            ReportRecord(
-                "gauss",
-                "char-sum:p%d:n%d:j%d" % (p, n, j),
-                "Prop 4.7",
-                character_sum_identity(phi, j),
-                {"p": p, "n": n, "j": j},
-            )
-        )
+        yield "valuation:p%d:n%d:j%d" % (p, n, j), "Prop 4.6", ok, {
+            "p": p,
+            "n": n,
+            "j": j,
+            "valuation": v,
+            "bound": bound,
+        }
+        ok = character_sum_identity(phi, j)
+        yield "char-sum:p%d:n%d:j%d" % (p, n, j), "Prop 4.7", ok, {
+            "p": p,
+            "n": n,
+            "j": j,
+        }
     _, exact, bounded = power_sum_S(phi, n)
-    recs.append(
-        ReportRecord(
-            "gauss",
-            "power-sum-exact:p%d:n%d" % (p, n),
-            "(S2)",
-            exact,
-            {"p": p, "n": n},
-        )
-    )
-    recs.append(
-        ReportRecord(
-            "gauss",
-            "power-sum-valuation:p%d:n%d" % (p, n),
-            "(S1)",
-            bounded,
-            {"p": p, "n": n, "bound": p - 1},
-        )
-    )
-    if with_coherence:
-        okc = all(backend_coherence(phi, j, precision) for j in range(1, p))
-        recs.append(
-            ReportRecord(
-                "gauss",
-                "coherence:p%d:n%d" % (p, n),
-                "Def 4.5",
-                okc,
-                {"p": p, "n": n, "precision": precision},
-            )
-        )
-    return recs
+    yield "power-sum-exact:p%d:n%d" % (p, n), "(S2)", exact, {"p": p, "n": n}
+    yield "power-sum-valuation:p%d:n%d" % (p, n), "(S1)", bounded, {
+        "p": p,
+        "n": n,
+        "bound": p - 1,
+    }
+    if coherent:
+        ok = all(backend_coherence(phi, j, precision) for j in range(1, p))
+        yield "coherence:p%d:n%d" % (p, n), "Def 4.5", ok, {
+            "p": p,
+            "n": n,
+            "precision": precision,
+        }
 
 
 def run_gauss(config):
     """Identity sweep to pmax; valuations, character sums and power sums to
     min(pmax, 31); backend coherence to min(pmax, 13).  An explicit --p
     narrows the sweep to one prime and lifts both caps for it; --n narrows
-    to one character order."""
+    to one character order, which must divide p - 1 for every swept p."""
     pmax = config.pmax
     if pmax < 3:
         raise ValueError("pmax must be at least 3, got %d" % pmax)
@@ -244,7 +238,7 @@ def run_gauss(config):
         primes = [p for p in range(3, pmax + 1) if is_odd_prime(p)]
         deep_cap = min(pmax, 31)
         coherence_cap = min(pmax, 13)
-    records = []
+    cases = []
     for p in primes:
         orders = divisor_list(p - 1)
         if config.n is not None:
@@ -253,13 +247,11 @@ def run_gauss(config):
                     "n must divide p - 1 = %d, got %d" % (p - 1, config.n)
                 )
             orders = [config.n]
-        for n in orders:
-            records += _gauss_identity_records(p, n)
-            if n > 1 and p <= deep_cap:
-                records += _gauss_valuation_records(
-                    p, n, config.precision, p <= coherence_cap
-                )
-    return records
+        cases += [(p, n) for n in orders]
+    return chain.from_iterable(
+        _gauss_rows(p, n, config.precision, p <= deep_cap, p <= coherence_cap)
+        for p, n in cases
+    )
 
 
 # -- stickelberger -------------------------------------------------------
@@ -321,26 +313,17 @@ def _box_equivalence(group, radius):
     return (2 * radius + 1) ** len(U), kernel, integral == kernel == both
 
 
-def _stickelberger_group_records(literal, seed, trials):
+def _stickelberger_rows(literal, seed, trials):
     group = FiniteAbelianGroup.from_literal(literal)
     chars = dual_enumerate(group)
-    recs = []
     if group.order <= 9:
         total, kernel, ok = _box_equivalence(group, _BOX_RADIUS)
-        recs.append(
-            ReportRecord(
-                "stickelberger",
-                "box:%s" % literal,
-                "Prop 3.12",
-                ok,
-                {
-                    "group": literal,
-                    "radius": _BOX_RADIUS,
-                    "vectors": total,
-                    "kernel": kernel,
-                },
-            )
-        )
+        yield "box:%s" % literal, "Prop 3.12", ok, {
+            "group": literal,
+            "radius": _BOX_RADIUS,
+            "vectors": total,
+            "kernel": kernel,
+        }
         # spot-check the table route against the object route
         rng = _case_rng(seed, "crosscheck:%s" % literal)
         U, _ = _pairing_tables(group)
@@ -354,15 +337,10 @@ def _stickelberger_group_records(literal, seed, trials):
             )
             if stickelberger_map(psi).is_integral() != table_integral:
                 agree = False
-        recs.append(
-            ReportRecord(
-                "stickelberger",
-                "crosscheck:%s" % literal,
-                "Prop 3.12",
-                agree,
-                {"group": literal, "samples": 25},
-            )
-        )
+        yield "crosscheck:%s" % literal, "Prop 3.12", agree, {
+            "group": literal,
+            "samples": 25,
+        }
     rng = _case_rng(seed, "random:%s" % literal)
     hits = 0
     ok = True
@@ -373,15 +351,11 @@ def _stickelberger_group_records(literal, seed, trials):
         if member != stickelberger_map(psi).is_integral():
             ok = False
         hits += member
-    recs.append(
-        ReportRecord(
-            "stickelberger",
-            "random:%s" % literal,
-            "Prop 3.12",
-            ok,
-            {"group": literal, "trials": trials, "kernel": hits},
-        )
-    )
+    yield "random:%s" % literal, "Prop 3.12", ok, {
+        "group": literal,
+        "trials": trials,
+        "kernel": hits,
+    }
     mexp = group.exponent
     units = [u for u in range(1, mexp) if gcd(u, mexp) == 1]
     ok = True
@@ -393,32 +367,19 @@ def _stickelberger_group_records(literal, seed, trials):
             )
             if lhs != base.permute_powers(pow(u, -1, mexp)):
                 ok = False
-    recs.append(
-        ReportRecord(
-            "stickelberger",
-            "twist:%s" % literal,
-            "Prop 3.14",
-            ok,
-            {"group": literal, "characters": len(chars), "units": len(units)},
-        )
-    )
-    return recs
+    yield "twist:%s" % literal, "Prop 3.14", ok, {
+        "group": literal,
+        "characters": len(chars),
+        "units": len(units),
+    }
 
 
 def run_stickelberger(config):
-    groups = tuple(config.groups) or _STICKELBERGER_DEFAULT_GROUPS
+    groups = _literals(config, _STICKELBERGER_DEFAULT_GROUPS, odd=True)
     trials = config.trials if config.trials is not None else 500
-    for literal in groups:
-        group = FiniteAbelianGroup.from_literal(literal)
-        if group.order % 2 == 0:
-            raise ValueError(
-                "suite needs odd group order, got %s (order %d)"
-                % (literal, group.order)
-            )
-    records = []
-    for literal in groups:
-        records += _stickelberger_group_records(literal, config.seed, trials)
-    return records
+    return chain.from_iterable(
+        _stickelberger_rows(literal, config.seed, trials) for literal in groups
+    )
 
 
 # -- wild ----------------------------------------------------------------
@@ -426,7 +387,7 @@ def run_stickelberger(config):
 _WILD_DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 
-def _wild_pair_records(p, n):
+def _wild_pair_rows(p, n):
     ctx = WildContext(p, n)
     alpha = build_alpha(ctx)
     ok_alpha = len(alpha.terms) == p and all(
@@ -435,41 +396,29 @@ def _wild_pair_records(p, n):
     ok_alpha = ok_alpha and all(
         omega_action(j, alpha) == alpha for j in ctx.subgroup
     )
-    recs = [
-        ReportRecord(
-            "wild",
-            "alpha:p%d:n%d" % (p, n),
-            "Lemma 5.7",
-            ok_alpha,
-            {"p": p, "n": n, "summands": len(alpha.terms)},
-        )
-    ]
+    yield "alpha:p%d:n%d" % (p, n), "Lemma 5.7", ok_alpha, {
+        "p": p,
+        "n": n,
+        "summands": len(alpha.terms),
+    }
     ok_conj = all(
         conjugate_check(ctx, j, k) for j in range(p) for k in range(p)
     )
-    recs.append(
-        ReportRecord(
-            "wild",
-            "conjugate:p%d:n%d" % (p, n),
-            "Prop 5.8",
-            ok_conj,
-            {"p": p, "n": n, "pairs": p * p},
-        )
-    )
+    yield "conjugate:p%d:n%d" % (p, n), "Prop 5.8", ok_conj, {
+        "p": p,
+        "n": n,
+        "pairs": p * p,
+    }
     g = build_g(ctx)
     ok_g = g.check_equivariance(
         ctx.subgroup, lambda u, v: omega_monomial(u, v, p)
     )
     support = sum(1 for s in ctx.group.elements() if not g(s).is_one())
-    recs.append(
-        ReportRecord(
-            "wild",
-            "gmap:p%d:n%d" % (p, n),
-            "Lemma 5.9",
-            ok_g,
-            {"p": p, "n": n, "support": support},
-        )
-    )
+    yield "gmap:p%d:n%d" % (p, n), "Lemma 5.9", ok_g, {
+        "p": p,
+        "n": n,
+        "support": support,
+    }
     monos = {}
     for k in range(p):
         try:
@@ -480,50 +429,26 @@ def _wild_pair_records(p, n):
         except ArithmeticError as exc:
             matched = False
             witness = {"p": p, "n": n, "k": k, "error": str(exc)}
-        recs.append(
-            ReportRecord(
-                "wild",
-                "resolvent:p%d:n%d:k%d" % (p, n, k),
-                "Prop 5.1",
-                matched,
-                witness,
-            )
-        )
+        yield "resolvent:p%d:n%d:k%d" % (p, n, k), "Prop 5.1", matched, witness
     ok_pair = len(monos) == p and all(
         monos[k] * monos[(-k) % p] == WildMonomial.one() for k in range(p)
     )
-    recs.append(
-        ReportRecord(
-            "wild",
-            "pairing:p%d:n%d" % (p, n),
-            "Lemma 4.8",
-            ok_pair,
-            {"p": p, "n": n},
-        )
-    )
-    return recs
+    yield "pairing:p%d:n%d" % (p, n), "Lemma 4.8", ok_pair, {"p": p, "n": n}
 
 
-def _wild_product_records(p, ns):
-    rows = product_contexts([WildContext(p, n) for n in ns])
-    recs = []
-    for coords, mono, ok in rows:
-        recs.append(
-            ReportRecord(
-                "wild",
-                "product:p%d:r%d:k%s"
-                % (p, len(ns), "-".join(str(c) for c in coords)),
-                "Theorem 1.3",
-                ok,
-                {
-                    "p": p,
-                    "orders": list(ns),
-                    "coords": list(coords),
-                    "monomial": str(mono),
-                },
-            )
+def _wild_product_rows(p, ns):
+    for coords, mono, ok in product_contexts([WildContext(p, n) for n in ns]):
+        case = "product:p%d:r%d:k%s" % (
+            p,
+            len(ns),
+            "-".join(str(c) for c in coords),
         )
-    return recs
+        yield case, "Theorem 1.3", ok, {
+            "p": p,
+            "orders": list(ns),
+            "coords": list(coords),
+            "monomial": str(mono),
+        }
 
 
 def product_orders(p, r, n=None):
@@ -549,15 +474,16 @@ def run_wild(config):
             raise ValueError("product size must be positive")
         if config.p is None:
             raise ValueError("--product needs an explicit p")
-    records = []
-    for p in ps:
-        ns = (config.n,) if config.n is not None else divisor_list(p - 1)
-        for n in ns:
-            records += _wild_pair_records(p, n)
-    if config.product is not None:
-        ns = product_orders(config.p, config.product, config.n)
-        records += _wild_product_records(config.p, ns)
-    return records
+    cases = [
+        (p, n)
+        for p in ps
+        for n in ((config.n,) if config.n is not None else divisor_list(p - 1))
+    ]
+    rows = chain.from_iterable(_wild_pair_rows(p, n) for p, n in cases)
+    if config.product is None:
+        return rows
+    ns = product_orders(config.p, config.product, config.n)
+    return chain(rows, _wild_product_rows(config.p, ns))
 
 
 # -- groupring -----------------------------------------------------------
@@ -583,7 +509,7 @@ def _random_map(rng, group, conductor):
     )
 
 
-def _groupring_records(literal, seed, trials):
+def _groupring_rows(literal, seed, trials):
     group = FiniteAbelianGroup.from_literal(literal)
     N = group.exponent
     rng = _case_rng(seed, "groupring:%s" % literal)
@@ -617,47 +543,33 @@ def _groupring_records(literal, seed, trials):
             )
             if reduced_equal(r, r * shift) != shift:
                 ok_units = False
-    return [
-        ReportRecord(
-            "groupring",
-            "roundtrip:%s" % literal,
-            "Def 3.4",
-            ok_round,
-            {"group": literal, "trials": trials},
-        ),
-        ReportRecord(
-            "groupring",
-            "convolution:%s" % literal,
-            "Eq. (iden1)",
-            ok_diag,
-            {"group": literal, "trials": trials},
-        ),
-        ReportRecord(
-            "groupring",
-            "units:%s" % literal,
-            "Prop 3.5(a)",
-            ok_units,
-            {"group": literal, "trials": unit_rounds, "units_seen": unit_hits},
-        ),
-    ]
+    yield "roundtrip:%s" % literal, "Def 3.4", ok_round, {
+        "group": literal,
+        "trials": trials,
+    }
+    yield "convolution:%s" % literal, "Eq. (iden1)", ok_diag, {
+        "group": literal,
+        "trials": trials,
+    }
+    yield "units:%s" % literal, "Prop 3.5(a)", ok_units, {
+        "group": literal,
+        "trials": unit_rounds,
+        "units_seen": unit_hits,
+    }
 
 
 def run_groupring(config):
-    groups = tuple(config.groups) or _GROUPRING_DEFAULT_GROUPS
+    groups = _literals(config, _GROUPRING_DEFAULT_GROUPS)
     trials = config.trials if config.trials is not None else 50
-    for literal in groups:
-        FiniteAbelianGroup.from_literal(literal)
-    records = []
-    for literal in groups:
-        records += _groupring_records(literal, config.seed, trials)
-    return records
+    return chain.from_iterable(
+        _groupring_rows(literal, config.seed, trials) for literal in groups
+    )
 
 
 # -- ramify --------------------------------------------------------------
 
 
-def _ramify_records(max_order):
-    recs = []
+def _ramify_rows(max_order):
     counts = {"unramified": 0, "tame": 0, "weak-wild": 0, "deep-wild": 0}
     sqrt_cases = 0
     sqrt_ok = True
@@ -678,38 +590,20 @@ def _ramify_records(max_order):
                 good = good and dv % 2 == 0
                 sqrt_ok = sqrt_ok and good
                 ok = ok and good
-        recs.append(
-            ReportRecord(
-                "ramify",
-                "chain:%s" % ",".join(str(g) for g in f),
-                "Eq. (2)",
-                ok,
-                {
-                    "filtration": list(f),
-                    "class": kind,
-                    "v_different": dv,
-                    "v_sqrt": v_sqrt,
-                },
-            )
-        )
-    recs.append(
-        ReportRecord(
-            "ramify",
-            "classify-partition",
-            "Def 3.2",
-            sum(counts.values()) == len(chains),
-            {"max_order": max_order, "counts": counts},
-        )
-    )
-    recs.append(
-        ReportRecord(
-            "ramify",
-            "sqrt-existence",
-            "Prop 3.3",
-            sqrt_ok and sqrt_cases > 0,
-            {"max_order": max_order, "cases": sqrt_cases},
-        )
-    )
+        yield "chain:%s" % ",".join(str(g) for g in f), "Eq. (2)", ok, {
+            "filtration": list(f),
+            "class": kind,
+            "v_different": dv,
+            "v_sqrt": v_sqrt,
+        }
+    yield "classify-partition", "Def 3.2", sum(counts.values()) == len(chains), {
+        "max_order": max_order,
+        "counts": counts,
+    }
+    yield "sqrt-existence", "Prop 3.3", sqrt_ok and sqrt_cases > 0, {
+        "max_order": max_order,
+        "cases": sqrt_cases,
+    }
     rejects_ok = True
     for orders, p in (((6, 6, 1), 3), ((9, 3, 1), 3)):
         try:
@@ -717,22 +611,13 @@ def _ramify_records(max_order):
             rejects_ok = False
         except ValueError as exc:
             rejects_ok = rejects_ok and "inconsistent filtration" in str(exc)
-    recs.append(
-        ReportRecord(
-            "ramify",
-            "sqrt-rejections",
-            "Prop 3.3",
-            rejects_ok,
-            {"cases": ["6,6,1", "9,3,1"]},
-        )
-    )
-    return recs
+    yield "sqrt-rejections", "Prop 3.3", rejects_ok, {"cases": ["6,6,1", "9,3,1"]}
 
 
 def run_ramify(config):
     if config.max_order < 1:
         raise ValueError("max order must be positive")
-    return _ramify_records(config.max_order)
+    return _ramify_rows(config.max_order)
 
 
 # -- driver --------------------------------------------------------------
@@ -747,15 +632,17 @@ SUITES = {
 
 
 def run(config):
-    """Execute the configured suite(s); returns (report dict, exit code)."""
+    """Execute the configured suite(s); returns (report dict, exit code).
+
+    Every selected suite checks its config before any row is drawn."""
     if config.suite == "all":
-        records = []
-        for name in sorted(SUITES):
-            records.extend(SUITES[name](config))
+        names = sorted(SUITES)
     elif config.suite in SUITES:
-        records = SUITES[config.suite](config)
+        names = [config.suite]
     else:
         raise ValueError("unknown suite %r" % (config.suite,))
+    streams = [(name, SUITES[name](config)) for name in names]
+    records = [ReportRecord(name, *row) for name, rows in streams for row in rows]
     records.sort(key=lambda r: (r.suite, r.case))
     failed = sum(1 for r in records if not r.passed)
     report = {

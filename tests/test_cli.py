@@ -56,12 +56,37 @@ def test_run_report_shape():
 
 def test_exit_code_propagates_failures(monkeypatch):
     def fake(config):
-        return [ReportRecord("gauss", "synthetic", "Prop 4.6", False, {})]
+        return [("synthetic", "Prop 4.6", False, {})]
 
     monkeypatch.setitem(SUITES, "gauss", fake)
     report, code = run(SuiteConfig(suite="gauss"))
     assert code == 1
     assert report["failed"] == 1
+
+
+def test_every_config_is_checked_before_any_row(monkeypatch):
+    def fake(config):
+        def rows():
+            raise AssertionError("a row was drawn before every config was checked")
+            yield
+
+        return rows()
+
+    monkeypatch.setitem(SUITES, "gauss", fake)
+    with pytest.raises(ValueError, match="product size must be positive"):
+        run(SuiteConfig(suite="all", product=0))
+
+
+def test_all_is_the_union_of_the_single_suites():
+    cheap = dict(p=3, groups=("3",), trials=2, max_order=9, pmax=5)
+    report, code = run(SuiteConfig(suite="all", **cheap))
+    union = []
+    for name in SUITES:
+        union += run(SuiteConfig(suite=name, **cheap))[0]["records"]
+    union.sort(key=lambda r: (r["suite"], r["case"]))
+    assert report["records"] == union
+    assert code == 0
+    assert {r["suite"] for r in union} == set(SUITES)
 
 
 def test_main_text_output(capsys):

@@ -255,6 +255,27 @@ def test_rational_group_element_json():
     assert [[1], 1, 3] in doc
 
 
+def test_constructors_reject_floats():
+    g = FiniteAbelianGroup((3,))
+    chi, s = g.character((1,)), g.element((1,))
+    with pytest.raises(TypeError):
+        VirtualCharacter(g, {chi: 2.7})
+    with pytest.raises(TypeError):
+        RationalGroupElement(g, {s: 0.1})
+
+
+def test_combinations_merge_and_cancel():
+    g = FiniteAbelianGroup((3,))
+    chi, s = g.character((1,)), g.element((1,))
+    psi = VirtualCharacter(g, [(chi, 2), (chi, -1), (chi**2, 1)])
+    assert psi == VirtualCharacter(g, {chi: 1, chi**2: 1})
+    assert (psi - psi).coeffs == {}
+    theta = RationalGroupElement(g, [(s, Fraction(1, 2)), (s, 1)])
+    assert theta[s] == Fraction(3, 2) and type(theta[s]) is Fraction
+    assert (theta + -theta).is_zero()
+    assert psi != theta
+
+
 def test_equivariant_map_basics():
     g = FiniteAbelianGroup((3,))
     one = CycloElement.one(3)

@@ -45,6 +45,8 @@ _TRANSFORM = "tests/test_groupring.py::test_transform_of_group_element_is_charac
 _INVERSE = "tests/test_groupring.py::test_inverse_transform_examples"
 _ROUNDTRIP = "tests/test_groupring.py::test_transform_roundtrip"
 _KEYS = "tests/test_groupring.py::test_containers_reject_the_other_key_domain"
+_UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
+_CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
 
 MUTANTS = (
     Mutant(
@@ -130,6 +132,20 @@ MUTANTS = (
         "_keys = staticmethod(dual_enumerate)",
         "_keys = staticmethod(FiniteAbelianGroup.elements)",
         (_KEYS, _INVERSE),
+    ),
+    Mutant(
+        "runner-one-suite-stamp",
+        "suites.py",
+        "ReportRecord(name, *row)",
+        "ReportRecord(names[0], *row)",
+        (_UNION,),
+    ),
+    Mutant(
+        "runner-lazy-streams",
+        "suites.py",
+        "streams = [(name, SUITES[name](config)) for name in names]",
+        "streams = ((name, SUITES[name](config)) for name in names)",
+        (_CONFIG_FIRST,),
     ),
 )
 
