@@ -17,10 +17,8 @@ from fractions import Fraction
 
 from .abelian import (
     Character,
-    FiniteAbelianGroup,
     GroupElement,
     char_exponent,
-    dual_enumerate,
     element_order,
 )
 from .cyclotomic import _as_fraction
@@ -29,21 +27,19 @@ from .cyclotomic import _as_fraction
 class _SparseCombination:
     """Formal combination sum_k c_k k over keys of one group, stored sparsely.
 
-    Each coefficient that is not already of the subclass's _exact type goes
-    through its _coerce, which rejects floats; equal keys merge and zero
-    coefficients drop out.
+    Each coefficient goes through the subclass's _coerce, which rejects
+    floats; equal keys merge and zero coefficients drop out.
     """
 
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group, coeffs):
-        exact, coerce = self._exact, self._coerce
+        coerce = self._coerce
         clean = {}
         for k, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
             if k.group != group:
                 raise ValueError("%s %r does not live on %r" % (self._noun, k, group))
-            if type(c) is not exact:
-                c = coerce(c)
+            c = coerce(c)
             if c:
                 clean[k] = clean.get(k, 0) + c
         self.group = group
@@ -76,7 +72,6 @@ class VirtualCharacter(_SparseCombination):
 
     __slots__ = ()
     _noun = "character"
-    _exact = int
     _coerce = staticmethod(operator.index)
 
     @classmethod
@@ -109,7 +104,6 @@ class RationalGroupElement(_SparseCombination):
 
     __slots__ = ()
     _noun = "element"
-    _exact = Fraction
     _coerce = staticmethod(_as_fraction)
 
     def __getitem__(self, s):

@@ -77,6 +77,27 @@ def test_every_config_is_checked_before_any_row(monkeypatch):
         run(SuiteConfig(suite="all", product=0))
 
 
+BAD_FLAGS = {
+    "gauss": dict(pmax=2),
+    "groupring": dict(groups=("x",)),
+    "ramify": dict(max_order=0),
+    "stickelberger": dict(groups=("2",)),
+    "wild": dict(product=0),
+}
+
+
+def test_bad_flags_cover_every_suite():
+    assert set(BAD_FLAGS) == set(SUITES)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FLAGS))
+def test_suite_checks_its_config_when_called(name):
+    # the rows are never drawn: a run_<suite> that is itself a generator
+    # would defer its checks and return here without raising
+    with pytest.raises(ValueError):
+        SUITES[name](SuiteConfig(suite=name, **BAD_FLAGS[name]))
+
+
 def test_all_is_the_union_of_the_single_suites():
     cheap = dict(p=3, groups=("3",), trials=2, max_order=9, pmax=5)
     report, code = run(SuiteConfig(suite="all", **cheap))
