@@ -332,15 +332,9 @@ class CycloElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if not isinstance(other, (int, Fraction, CycloElement)):
             return NotImplemented
-        a, b = pair
-        if a.den == b.den:
-            return _canonical(a.conductor, [x - y for x, y in zip(a.num, b.num)], a.den)
-        den = lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        return _canonical(a.conductor, [x * fa - y * fb for x, y in zip(a.num, b.num)], den)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)

@@ -1,12 +1,12 @@
 """Gauss sums over the prime field F_p, in two independent backends.
 
-The exact backend expands G(phi, j) = sum_k phi(k) zeta_p^{jk} at conductor
-p(p-1), where the multiplicative character phi takes values in the (p-1)-st
-roots of unity.  The p-adic backend rebuilds the same sum inside truncated
-Z_p[zeta_p] with phi valued in Teichmuller lifts, which is what exposes the
-pi-adic valuation.  Both backends pin the character by its value on the least
-primitive root, so they name the same object and can be compared digit by
-digit after embedding.
+The exact backend, gauss_sum, expands G(phi, j) = sum_k phi(k) zeta_p^{jk}
+at conductor p(p-1), where the multiplicative character phi takes values in
+the (p-1)-st roots of unity.  The p-adic backend, gauss_sum_padic, rebuilds
+the same sum inside truncated Z_p[zeta_p] with phi valued in Teichmuller
+lifts, which is what exposes the pi-adic valuation.  Both backends pin the
+character by its value on the least primitive root, so they name the same
+object and can be compared digit by digit after embedding.
 """
 
 from __future__ import annotations
@@ -31,6 +31,17 @@ from .padic import (
 )
 
 
+def _layer(p, n):
+    """(p, n) as integers, for an odd prime p and a divisor n >= 1 of p - 1."""
+    p = int(p)
+    n = int(n)
+    if not is_odd_prime(p):
+        raise ValueError("need an odd prime, got %d" % p)
+    if n < 1 or (p - 1) % n:
+        raise ValueError("n = %d is not a positive divisor of %d" % (n, p - 1))
+    return p, n
+
+
 class MultiplicativeCharacter:
     """Character of F_p^* of exact order n, extended by phi(0) = 0.
 
@@ -42,14 +53,7 @@ class MultiplicativeCharacter:
     __slots__ = ("p", "n")
 
     def __init__(self, p, n):
-        p = int(p)
-        n = int(n)
-        if not is_odd_prime(p):
-            raise ValueError("need an odd prime, got %d" % p)
-        if n < 1 or (p - 1) % n:
-            raise ValueError("order %d does not divide %d" % (n, p - 1))
-        self.p = p
-        self.n = n
+        self.p, self.n = _layer(p, n)
 
     @property
     def order(self):
@@ -88,12 +92,7 @@ class ResidueSubgroup:
     __slots__ = ("p", "n", "elements", "_members")
 
     def __init__(self, p, n):
-        p = int(p)
-        n = int(n)
-        if not is_odd_prime(p):
-            raise ValueError("need an odd prime, got %d" % p)
-        if n < 1 or (p - 1) % n:
-            raise ValueError("index %d does not divide %d" % (n, p - 1))
+        p, n = _layer(p, n)
         self.p = p
         self.n = n
         members = {pow(k, n, p) for k in range(1, p)}
@@ -145,24 +144,19 @@ def _gauss_padic(p, n, j, precision):
     return acc
 
 
-def gauss_sum(phi, j, backend="cyclotomic", precision=None):
-    """G(phi, j) = sum over k in F_p of phi(k) zeta_p^{jk}.
+def gauss_sum(phi, j):
+    """G(phi, j) = sum over k in F_p of phi(k) zeta_p^{jk}, exact at
+    conductor p(p-1)."""
+    return _gauss_cyclo_exponent(phi.p, (phi.p - 1) // phi.n, int(j) % phi.p)
 
-    backend "cyclotomic": exact value at conductor p(p-1).
-    backend "padic": the same sum rebuilt in truncated Z_p[zeta_p]; needs a
-    precision.  The two agree after embed_cyclo (coherence is a tested law,
-    not an assumption).
+
+def gauss_sum_padic(phi, j, precision):
+    """The same sum rebuilt in truncated Z_p[zeta_p] at the given precision.
+
+    It agrees with gauss_sum after embed_cyclo; backend_coherence checks
+    that law, it is not assumed.
     """
-    j = int(j) % phi.p
-    if backend == "cyclotomic":
-        if precision is not None:
-            raise ValueError("precision applies to the padic backend only")
-        return _gauss_cyclo_exponent(phi.p, (phi.p - 1) // phi.n, j)
-    if backend == "padic":
-        if precision is None:
-            raise ValueError("padic backend needs a precision")
-        return _gauss_padic(phi.p, phi.n, j, int(precision))
-    raise ValueError("unknown backend %r" % (backend,))
+    return _gauss_padic(phi.p, phi.n, int(j) % phi.p, int(precision))
 
 
 def verify_translation(phi, j):
@@ -201,7 +195,7 @@ def gauss_valuation(phi, j, precision):
             "precision %d too small to certify valuations at p = %d" % (M, p),
             suggested_precision=_min_valuation_precision(p),
         )
-    v = pi_valuation(gauss_sum(phi, j, backend="padic", precision=M))
+    v = pi_valuation(gauss_sum_padic(phi, j, M))
     if v is AT_CAP:
         raise PrecisionError(
             "valuation of G(phi, %d) not visible at precision %d" % (j, M),
@@ -320,5 +314,5 @@ def power_sum_S(phi, n):
 def backend_coherence(phi, j, precision):
     """embed_cyclo of the exact sum equals the directly computed padic sum."""
     exact = gauss_sum(phi, j)
-    direct = gauss_sum(phi, j, backend="padic", precision=precision)
+    direct = gauss_sum_padic(phi, j, precision)
     return embed_cyclo(exact, phi.p, precision) == direct

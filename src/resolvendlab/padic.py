@@ -85,12 +85,9 @@ class PadicCycloElement:
     @classmethod
     def zeta_power(cls, p, precision, e):
         """zeta^e; the overflow exponent p-1 folds through Phi_p."""
-        e = int(e) % p
-        if e == p - 1:
-            return cls(p, precision, (-1,) * (p - 1))
-        coeffs = [0] * (p - 1)
-        coeffs[e] = 1
-        return cls(p, precision, coeffs)
+        coeffs = [0] * p
+        coeffs[int(e) % p] = 1
+        return cls(p, precision, _reduce_int_mod_cyclo(p, coeffs))
 
     def _check(self, other):
         if self.p != other.p or self.precision != other.precision:
@@ -252,15 +249,8 @@ def embed_cyclo(x, p, precision):
     if y.den % p == 0:
         raise ValueError("denominator %d is divisible by p = %d" % (y.den, p))
     inv_den = pow(y.den, -1, mod)
-    acc = [0] * (p - 1)
+    acc = [0] * p
     for e, c in enumerate(y.num):
-        if not c:
-            continue
-        scalar = c * inv_den % mod * omega[e % (p - 1)] % mod
-        slot = (-e) % p
-        if slot == p - 1:
-            for i in range(p - 1):
-                acc[i] -= scalar
-        else:
-            acc[slot] += scalar
-    return PadicCycloElement(p, precision, acc)
+        if c:
+            acc[(-e) % p] += c * inv_den % mod * omega[e % (p - 1)]
+    return PadicCycloElement(p, precision, _reduce_int_mod_cyclo(p, acc))

@@ -240,23 +240,6 @@ class EquivariantMap:
                     return False
         return True
 
-    def pointwise_mul(self, other):
-        if other.group != self.group or other.twist != self.twist:
-            raise ValueError("pointwise product needs matching group and twist")
-        return EquivariantMap(
-            self.group,
-            self.twist,
-            {s: self.values[s] * other.values[s] for s in self.group.elements()},
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EquivariantMap)
-            and self.group == other.group
-            and self.twist == other.twist
-            and self.values == other.values
-        )
-
 
 def transpose_apply(g, psi):
     """prod_s g(s)^{q_s} with q_s the rational group-ring coefficients of psi.

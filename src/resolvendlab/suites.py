@@ -24,6 +24,7 @@ from .abelian import FiniteAbelianGroup, char_exponent, dual_enumerate, element_
 from .cyclotomic import CycloElement
 from .gauss import (
     MultiplicativeCharacter,
+    _layer,
     backend_coherence,
     character_sum_identity,
     gauss_sum,
@@ -133,18 +134,7 @@ class SuiteConfig:
     max_order: int = 81
 
     def to_json(self):
-        return {
-            "suite": self.suite,
-            "pmax": self.pmax,
-            "precision": self.precision,
-            "groups": list(self.groups),
-            "trials": self.trials,
-            "seed": self.seed,
-            "p": self.p,
-            "n": self.n,
-            "product": self.product,
-            "max_order": self.max_order,
-        }
+        return dict(vars(self), groups=list(self.groups))
 
 
 def _case_rng(seed, case):
@@ -465,10 +455,7 @@ def product_orders(p, r, n=None):
 def run_wild(config):
     ps = (config.p,) if config.p is not None else _WILD_DEFAULT_PRIMES
     for p in ps:
-        if not is_odd_prime(p):
-            raise ValueError("wild suite needs odd primes, got %r" % (p,))
-        if config.n is not None and (p - 1) % config.n:
-            raise ValueError("n = %d does not divide %d" % (config.n, p - 1))
+        _layer(p, 1 if config.n is None else config.n)
     if config.product is not None:
         if config.product < 1:
             raise ValueError("product size must be positive")

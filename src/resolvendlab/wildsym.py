@@ -221,16 +221,10 @@ class WildContext:
     __slots__ = ("p", "n", "tag", "subgroup", "d", "d_inv", "group", "_inv")
 
     def __init__(self, p, n, tag=0):
-        p = int(p)
-        n = int(n)
-        if not is_odd_prime(p):
-            raise ValueError("need an odd prime, got %d" % p)
-        if n < 1 or (p - 1) % n:
-            raise ValueError("n = %d does not divide %d" % (n, p - 1))
-        self.p = p
-        self.n = n
-        self.tag = int(tag)
         self.subgroup = ResidueSubgroup(p, n)
+        self.p = p = self.subgroup.p
+        self.n = n = self.subgroup.n
+        self.tag = int(tag)
         self.d = ((p - 1) // n) % p
         assert self.d  # (p-1)/n lies in 1..p-1
         self.d_inv = pow(self.d, -1, p)

@@ -98,6 +98,12 @@ def test_suite_checks_its_config_when_called(name):
         SUITES[name](SuiteConfig(suite=name, **BAD_FLAGS[name]))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_wild_rejects_nonpositive_n(n):
+    with pytest.raises(ValueError):
+        SUITES["wild"](SuiteConfig(suite="wild", n=n))
+
+
 def test_all_is_the_union_of_the_single_suites():
     cheap = dict(p=3, groups=("3",), trials=2, max_order=9, pmax=5)
     report, code = run(SuiteConfig(suite="all", **cheap))

@@ -151,6 +151,17 @@ def test_rejects_floats():
         CycloElement(3, [0.5, 0])
     with pytest.raises(TypeError):
         CycloElement.one(3) * 0.5
+    with pytest.raises(TypeError):
+        CycloElement.one(3) - 0.5
+
+
+def test_subtract_scalars():
+    x = CycloElement.from_terms(5, [(2, 1), (1, 0)])
+    z = root_of_unity(5, 1) + root_of_unity(5, 1)
+    assert x - 1 == z
+    assert x - CycloElement.one(5) == z
+    assert 1 - x == -z
+    assert x - Fraction(1, 3) == z + Fraction(2, 3)
 
 
 def test_unhashable():

@@ -10,11 +10,13 @@ from resolvendlab.gauss import (
     backend_coherence,
     character_sum_identity,
     gauss_sum,
+    gauss_sum_padic,
     gauss_valuation,
     power_sum_S,
     verify_translation,
 )
 from resolvendlab.padic import PrecisionError
+from resolvendlab.wildsym import WildContext
 
 
 def test_character_convention():
@@ -35,10 +37,14 @@ def test_character_convention():
 
 
 def test_character_validation():
-    with pytest.raises(ValueError):
-        MultiplicativeCharacter(9, 2)
-    with pytest.raises(ValueError):
-        MultiplicativeCharacter(7, 4)
+    # every constructor on the prime-field layer takes an odd prime p and a
+    # divisor n >= 1 of p - 1
+    for make in (MultiplicativeCharacter, ResidueSubgroup, WildContext):
+        for p, n in [(1, 1), (2, 1), (9, 2), (7, 0), (7, -1), (7, 4)]:
+            with pytest.raises(ValueError):
+                make(p, n)
+        layer = make(7, 3)
+        assert (layer.p, layer.n) == (7, 3)
 
 
 def test_residue_subgroup():
@@ -211,10 +217,8 @@ def test_padic_backend_values():
     from resolvendlab.padic import pi_valuation
 
     phi = MultiplicativeCharacter(5, 2)
-    g = gauss_sum(phi, 1, backend="padic", precision=4)
+    g = gauss_sum_padic(phi, 1, 4)
     assert pi_valuation(g) == 2
-    with pytest.raises(ValueError):
-        gauss_sum(phi, 1, backend="nope")
 
 
 def _gcd(a, b):

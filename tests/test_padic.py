@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
-from resolvendlab.numutil import divisor_list, euler_phi
+from resolvendlab.numutil import divisor_list, euler_phi, least_primitive_root
 from resolvendlab.padic import (
     AT_CAP,
     PadicCycloElement,
@@ -147,6 +147,31 @@ def test_embed_cyclo_mixed_conductor():
     assert embed_cyclo(root_of_unity(m, p - 1), p, M) == PadicCycloElement.zeta_power(
         p, M, 1
     )
+
+
+def _folded_zeta_power(p, M, k, scalar=1):
+    """scalar * zeta^k on the basis 1, ..., zeta^{p-2}, folding the overflow
+    exponent by hand: zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})."""
+    k %= p
+    if k == p - 1:
+        coeffs = [-scalar] * (p - 1)
+    else:
+        coeffs = [0] * (p - 1)
+        coeffs[k] = scalar
+    return PadicCycloElement(p, M, coeffs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_zeta_power_and_embedding_match_hand_fold(p):
+    M = 3
+    for e in range(2 * p):
+        assert PadicCycloElement.zeta_power(p, M, e) == _folded_zeta_power(p, M, e)
+    # zeta_{p(p-1)} goes to teichmuller(rho) * zeta^{-1}
+    m = p * (p - 1)
+    omega = teichmuller(least_primitive_root(p), p, M)
+    for e in range(m):
+        expect = _folded_zeta_power(p, M, -e, pow(omega, e, p**M))
+        assert embed_cyclo(root_of_unity(m, e), p, M) == expect
 
 
 def test_precision_error_carries_hint():

@@ -41,6 +41,9 @@ _FROM_TERMS = "tests/test_cyclotomic.py::test_from_terms_and_mul_root"
 _ROOTS = "tests/test_cyclotomic.py::test_root_of_unity_basics"
 _PADIC_MUL = "tests/test_padic.py::test_mul_and_pow_match_schoolbook"
 _PADIC_RING = "tests/test_padic.py::test_ring_axioms_random"
+_HAND_FOLD = "tests/test_padic.py::test_zeta_power_and_embedding_match_hand_fold"
+_EMBED = "tests/test_padic.py::test_embed_cyclo"
+_COHERENCE = "tests/test_gauss.py::test_backend_coherence"
 _TRANSFORM = "tests/test_groupring.py::test_transform_of_group_element_is_character_value"
 _INVERSE = "tests/test_groupring.py::test_inverse_transform_examples"
 _ROUNDTRIP = "tests/test_groupring.py::test_transform_roundtrip"
@@ -90,6 +93,20 @@ MUTANTS = (
         "x.coeffs = tuple(c % modulus for c in coeffs)",
         "x.coeffs = tuple(coeffs)",
         (_PADIC_MUL, _PADIC_RING),
+    ),
+    Mutant(
+        "embed-slot-sign-dropped",
+        "padic.py",
+        "acc[(-e) % p] +=",
+        "acc[e % p] +=",
+        (_HAND_FOLD, _EMBED),
+    ),
+    Mutant(
+        "zeta-power-mod-p-minus-1",
+        "padic.py",
+        "coeffs[int(e) % p] = 1",
+        "coeffs[int(e) % (p - 1)] = 1",
+        (_HAND_FOLD, _COHERENCE),
     ),
     Mutant(
         "rows-first-skipped",
