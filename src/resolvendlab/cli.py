@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 
-from .padic import PrecisionError
 from .suites import SUITES, SuiteConfig, run
 
 
@@ -20,51 +19,36 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run a verification suite")
+    # an absent flag leaves its SuiteConfig field at the field's default
+    verify = sub.add_parser(
+        "verify", help="run a verification suite", argument_default=argparse.SUPPRESS
+    )
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    verify.add_argument(
-        "--pmax", type=int, default=31, help="largest prime for the gauss sweep"
-    )
-    verify.add_argument(
-        "--precision", type=int, default=6, help="p-adic precision exponent M"
-    )
+    verify.add_argument("--pmax", type=int, help="largest prime for the gauss sweep")
+    verify.add_argument("--precision", type=int, help="p-adic precision exponent M")
     verify.add_argument(
         "--group",
         action="append",
+        dest="groups",
         metavar="FACTORS",
         help="invariant-factor literal like 3,9; repeatable",
     )
+    verify.add_argument("--trials", type=int, help="randomized cases per group")
+    verify.add_argument("--seed", help="seed for randomized suites")
     verify.add_argument(
-        "--trials", type=int, default=None, help="randomized cases per group"
+        "--p", type=int, help="restrict the gauss or wild suite to a single prime"
     )
     verify.add_argument(
-        "--seed", default="resolvend", help="seed for randomized suites"
-    )
-    verify.add_argument(
-        "--p",
-        type=int,
-        default=None,
-        help="restrict the gauss or wild suite to a single prime",
-    )
-    verify.add_argument(
-        "--n",
-        type=int,
-        default=None,
-        help="restrict the gauss or wild suite to one character order",
+        "--n", type=int, help="restrict the gauss or wild suite to one character order"
     )
     verify.add_argument(
         "--product",
         type=int,
-        default=None,
         metavar="R",
         help="also check an R-fold product decomposition (needs --p)",
     )
     verify.add_argument(
-        "--max-order",
-        type=int,
-        default=81,
-        dest="max_order",
-        help="largest g0 for the ramify enumeration",
+        "--max-order", type=int, help="largest g0 for the ramify enumeration"
     )
     verify.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
@@ -73,31 +57,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    fmt = args.pop("fmt")
     try:
-        config = SuiteConfig(
-            suite=args.suite,
-            pmax=args.pmax,
-            precision=args.precision,
-            groups=tuple(args.group) if args.group else (),
-            trials=args.trials,
-            seed=args.seed,
-            p=args.p,
-            n=args.n,
-            product=args.product,
-            max_order=args.max_order,
-        )
-        report, code = run(config)
-    except PrecisionError as exc:
-        hint = ""
-        if exc.suggested_precision is not None:
-            hint = " (try --precision %d)" % exc.suggested_precision
+        report, code = run(SuiteConfig(**args))
+    except ValueError as exc:
+        precision = getattr(exc, "suggested_precision", None)
+        hint = "" if precision is None else " (try --precision %d)" % precision
         print("error: %s%s" % (exc, hint), file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.fmt == "json":
+    if fmt == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
         sys.stdout.write("\n")
     else:

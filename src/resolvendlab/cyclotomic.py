@@ -41,6 +41,18 @@ def _as_fraction(c):
     raise TypeError("exact coefficient expected (int or Fraction), got %r" % type(c).__name__)
 
 
+def _as_cyclo(value, conductor):
+    """value as an element of Q(zeta_conductor), left at its own conductor:
+    an exact scalar, or a CycloElement whose conductor divides conductor."""
+    if isinstance(value, CycloElement):
+        if conductor % value.conductor:
+            raise ValueError(
+                "value conductor %d does not divide %d" % (value.conductor, conductor)
+            )
+        return value
+    return CycloElement.from_rational(value)
+
+
 def _polymul_int_school(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):

@@ -20,7 +20,7 @@ from .cyclotomic import (
     _reduce_int_mod_cyclo,
     root_of_unity,
 )
-from .numutil import discrete_log_table, is_odd_prime, least_primitive_root
+from .numutil import discrete_log_table, least_primitive_root, odd_prime
 from .padic import (
     AT_CAP,
     PadicCycloElement,
@@ -33,10 +33,8 @@ from .padic import (
 
 def _layer(p, n):
     """(p, n) as integers, for an odd prime p and a divisor n >= 1 of p - 1."""
-    p = int(p)
+    p = odd_prime(p)
     n = int(n)
-    if not is_odd_prime(p):
-        raise ValueError("need an odd prime, got %d" % p)
     if n < 1 or (p - 1) % n:
         raise ValueError("n = %d is not a positive divisor of %d" % (n, p - 1))
     return p, n
@@ -268,13 +266,13 @@ def _cyclic_power(vec, k):
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, L * nbytes, nbytes)]
 
 
-def power_sum_S(phi, n):
-    """S = sum over nonzero j of G(phi, j)^n, with its two certificates.
+def power_sum_S(phi):
+    """S = sum over nonzero j of G(phi, j)^n, n the order of phi, with its
+    two certificates.
 
     Returns (S, exact, bounded): exact is the equality S = (p-1) G(phi, 1)^n
     checked in canonical form, bounded is the p-adic statement that S has
-    pi-valuation at least p - 1.  The n argument must restate the character
-    order.
+    pi-valuation at least p - 1.
 
     Every exponent of G(phi, j) at m = p(p-1) is a multiple of
     step = (p-1)/n, so the j-th powers are taken in the short ring
@@ -283,10 +281,7 @@ def power_sum_S(phi, n):
     most (p-1)^e, which sets the packed slot width of `_cyclic_power`.  Both
     sums are reduced and compared at conductor pn; only S is raised to m.
     """
-    p = phi.p
-    n = int(n)
-    if n != phi.n:
-        raise ValueError("n must equal the character order %d, got %d" % (phi.n, n))
+    p, n = phi.p, phi.n
     if n == 1:
         raise ValueError("power sum concerns nontrivial characters")
     m = p * (p - 1)

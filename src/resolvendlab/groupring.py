@@ -27,20 +27,7 @@ from .abelian import (
     char_table,
     dual_enumerate,
 )
-from .cyclotomic import CycloElement
-
-
-def _coerce_value(value, conductor):
-    if isinstance(value, (int, Fraction)):
-        return CycloElement.from_rational(value)
-    if isinstance(value, CycloElement):
-        if conductor % value.conductor:
-            raise ValueError(
-                "value conductor %d does not divide ambient conductor %d"
-                % (value.conductor, conductor)
-            )
-        return value
-    raise TypeError("expected CycloElement or exact scalar, got %r" % type(value).__name__)
+from .cyclotomic import CycloElement, _as_cyclo
 
 
 class _GroupIndexed:
@@ -67,7 +54,7 @@ class _GroupIndexed:
             raise ValueError("values must be given on every %s exactly once" % self._key_noun)
         self.group = group
         self.conductor = conductor
-        self.values = {k: _coerce_value(values[k], conductor) for k in keys}
+        self.values = {k: _as_cyclo(values[k], conductor) for k in keys}
 
     def __call__(self, s):
         return self.values[s]

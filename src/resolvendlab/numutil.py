@@ -56,12 +56,19 @@ def is_odd_prime(p):
     return p > 2 and is_prime(p)
 
 
+def odd_prime(p):
+    """p as an int; the one check that p is an odd prime."""
+    p = int(p)
+    if not is_odd_prime(p):
+        raise ValueError("need an odd prime, got %d" % p)
+    return p
+
+
 @lru_cache(maxsize=None)
 def least_primitive_root(p):
     """The least primitive root mod the odd prime p: the first g = 2, 3, ...
     with g^((p-1)/q) != 1 mod p for every prime q dividing p - 1."""
-    if not is_odd_prime(p):
-        raise ValueError("least_primitive_root needs an odd prime, got %r" % (p,))
+    p = odd_prime(p)
     cofactors = [(p - 1) // q for q, _ in factorize(p - 1)]
     g = 2
     while any(pow(g, c, p) == 1 for c in cofactors):

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 
 from .cyclotomic import _polymul_int, _power, _reduce_int_mod_cyclo
-from .numutil import is_odd_prime, least_primitive_root
+from .numutil import least_primitive_root, odd_prime
 
 
 class PrecisionError(ValueError):
@@ -54,10 +54,8 @@ class PadicCycloElement:
     __slots__ = ("p", "precision", "modulus", "coeffs")
 
     def __init__(self, p, precision, coeffs):
-        p = int(p)
+        p = odd_prime(p)
         precision = int(precision)
-        if not is_odd_prime(p):
-            raise ValueError("p must be an odd prime, got %r" % (p,))
         if precision < 1:
             raise ValueError("precision must be >= 1, got %r" % (precision,))
         coeffs = tuple(int(c) for c in coeffs)
@@ -179,8 +177,7 @@ class PadicCycloElement:
 def teichmuller(k, p, precision):
     """The unique (p-1)-th root of unity in Z_p congruent to k mod p,
     as an integer mod p^M; found by iterating x -> x^p to its fixpoint."""
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime, got %r" % (p,))
+    p = odd_prime(p)
     if k % p == 0:
         raise ValueError("teichmuller lift needs k nonzero mod p, got %r" % (k,))
     mod = p ** int(precision)
@@ -235,8 +232,7 @@ def embed_cyclo(x, p, precision):
     root system this forces zeta_{p(p-1)} -> teichmuller(rho) * zeta^{-1}.
     Denominators must be prime to p.
     """
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime, got %r" % (p,))
+    p = odd_prime(p)
     target = p * (p - 1)
     if target % x.conductor:
         raise ValueError(

@@ -112,15 +112,11 @@ def enumerate_filtrations(max_g0, max_len=4):
     out = []
 
     def extend(chain):
-        if len(chain) >= max_len:
-            if chain[-1] == 1:
-                out.append(RamificationFiltration(chain))
-            return
         if chain[-1] == 1:
             out.append(RamificationFiltration(chain))
-            return
-        for g in divisor_list(chain[-1]):
-            extend(chain + (g,))
+        elif len(chain) < max_len:
+            for g in divisor_list(chain[-1]):
+                extend(chain + (g,))
 
     for g0 in range(1, max_g0 + 1):
         extend((g0,))

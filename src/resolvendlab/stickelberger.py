@@ -66,6 +66,10 @@ class _SparseCombination:
             and self.coeffs == other.coeffs
         )
 
+    def items(self):
+        """The (key, coefficient) pairs sorted by key coordinates."""
+        return sorted(self.coeffs.items(), key=lambda kv: kv[0].coords)
+
 
 class VirtualCharacter(_SparseCombination):
     """Formal integer combination of characters of one group."""
@@ -81,9 +85,6 @@ class VirtualCharacter(_SparseCombination):
     @classmethod
     def single(cls, chi, multiplicity=1):
         return cls(chi.group, {chi: multiplicity})
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].coords)
 
     def conjugate(self):
         """chi -> chi^{-1} on every summand."""
@@ -125,17 +126,11 @@ class RationalGroupElement(_SparseCombination):
     def __repr__(self):
         if not self.coeffs:
             return "RationalGroupElement(0)"
-        parts = [
-            "%s*s%r" % (q, s.coords)
-            for s, q in sorted(self.coeffs.items(), key=lambda kv: kv[0].coords)
-        ]
+        parts = ["%s*s%r" % (q, s.coords) for s, q in self.items()]
         return "RationalGroupElement(%s)" % " + ".join(parts)
 
     def to_json(self):
-        return [
-            [list(s.coords), q.numerator, q.denominator]
-            for s, q in sorted(self.coeffs.items(), key=lambda kv: kv[0].coords)
-        ]
+        return [[list(s.coords), q.numerator, q.denominator] for s, q in self.items()]
 
 
 def pairing(chi, s):

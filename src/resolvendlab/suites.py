@@ -44,7 +44,7 @@ from .groupring import (
     unit_inverse,
     unit_pair_check,
 )
-from .numutil import divisor_list, euler_phi, factorize, is_odd_prime
+from .numutil import divisor_list, euler_phi, factorize, is_odd_prime, odd_prime
 from .ramify import (
     RamificationFiltration,
     classify,
@@ -133,6 +133,9 @@ class SuiteConfig:
     product: int | None = None
     max_order: int = 81
 
+    def __post_init__(self):
+        self.groups = tuple(self.groups)
+
     def to_json(self):
         return dict(vars(self), groups=list(self.groups))
 
@@ -195,7 +198,7 @@ def _gauss_rows(p, n, precision, deep, coherent):
             "n": n,
             "j": j,
         }
-    _, exact, bounded = power_sum_S(phi, n)
+    _, exact, bounded = power_sum_S(phi)
     yield "power-sum-exact:p%d:n%d" % (p, n), "(S2)", exact, {"p": p, "n": n}
     yield "power-sum-valuation:p%d:n%d" % (p, n), "(S1)", bounded, {
         "p": p,
@@ -220,9 +223,7 @@ def run_gauss(config):
     if pmax < 3:
         raise ValueError("pmax must be at least 3, got %d" % pmax)
     if config.p is not None:
-        if not is_odd_prime(config.p):
-            raise ValueError("p must be an odd prime, got %d" % config.p)
-        primes = [config.p]
+        primes = [odd_prime(config.p)]
         deep_cap = coherence_cap = config.p
     else:
         primes = [p for p in range(3, pmax + 1) if is_odd_prime(p)]

@@ -16,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .abelian import FiniteAbelianGroup, dual_enumerate
-from .cyclotomic import CycloElement, galois_map, root_of_unity
+from .cyclotomic import CycloElement, _as_cyclo, galois_map, root_of_unity
 from .gauss import ResidueSubgroup
-from .numutil import is_odd_prime
+from .numutil import odd_prime
 from .stickelberger import EquivariantMap, VirtualCharacter, transpose_apply
 
 
@@ -110,15 +110,13 @@ class WildElement:
     __slots__ = ("p", "terms")
 
     def __init__(self, p, terms=()):
-        p = int(p)
-        if not is_odd_prime(p):
-            raise ValueError("need an odd prime, got %d" % p)
+        p = odd_prime(p)
         items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
         for mono, coeff in items:
             if not isinstance(mono, WildMonomial):
                 raise TypeError("keys must be monomials, got %r" % (mono,))
-            c = _coerce_coeff(p, coeff)
+            c = _as_cyclo(coeff, p)
             acc[mono] = acc[mono] + c if mono in acc else c
         self.p = p
         self.terms = {m: c for m, c in acc.items() if not c.is_zero()}
@@ -193,20 +191,9 @@ class WildElement:
         return "WildElement(p=%d, %s)" % (self.p, self)
 
 
-def _coerce_coeff(p, c):
-    if isinstance(c, CycloElement):
-        if p % c.conductor:
-            raise ValueError(
-                "coefficient conductor %d does not divide %d" % (c.conductor, p)
-            )
-        return c
-    return CycloElement.from_rational(c)
-
-
 def c_of(i, p):
     """The representative of i mod p in the symmetric range [(1-p)/2, (p-1)/2]."""
-    if not is_odd_prime(p):
-        raise ValueError("need an odd prime, got %d" % p)
+    p = odd_prime(p)
     c = int(i) % p
     if c > (p - 1) // 2:
         c -= p
@@ -267,9 +254,7 @@ def tau_action(j, x):
     for mono, coeff in x.terms.items():
         e = (j * mono.weight(p)) % p
         if e:
-            if coeff.conductor != p:
-                coeff = coeff.raise_conductor(p)
-            coeff = coeff.mul_root(e)
+            coeff = coeff.raise_conductor(p).mul_root(e)
         out[mono] = coeff
     return WildElement(p, out)
 

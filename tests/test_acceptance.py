@@ -126,7 +126,7 @@ def test_criterion_03_character_and_power_sums(acceptance_log):
                 continue
             phi = MultiplicativeCharacter(p, n)
             ok = ok and all(character_sum_identity(phi, j) for j in range(1, p))
-            _, exact, bounded = power_sum_S(phi, n)
+            _, exact, bounded = power_sum_S(phi)
             ok = ok and exact and bounded
     _finish(acceptance_log, 
         3, "character sums and power sums exact, p <= 31", ok, time.perf_counter() - t0

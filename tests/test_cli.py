@@ -8,14 +8,19 @@ from resolvendlab.cli import build_parser, main
 from resolvendlab.suites import SUITES, ReportRecord, SuiteConfig, run
 
 
-def test_parser_defaults():
+def test_parser_defaults(capsys):
+    # an absent flag stays absent, so SuiteConfig alone holds the defaults
     args = build_parser().parse_args(["verify", "gauss"])
-    assert args.pmax == 31
-    assert args.precision == 6
-    assert args.seed == "resolvend"
-    assert args.fmt == "text"
-    assert args.group is None
-    assert args.max_order == 81
+    assert vars(args) == {"command": "verify", "suite": "gauss", "fmt": "text"}
+    config = SuiteConfig()
+    assert config.pmax == 31
+    assert config.precision == 6
+    assert config.seed == "resolvend"
+    assert config.max_order == 81
+    assert config.groups == ()
+    assert main(["verify", "ramify", "--max-order", "9", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == SuiteConfig(suite="ramify", max_order=9).to_json()
 
 
 def test_report_record_validates_citation():

@@ -16,7 +16,10 @@ from resolvendlab.cyclotomic import (
     galois_map,
     root_of_unity,
 )
+from resolvendlab.abelian import FiniteAbelianGroup
+from resolvendlab.groupring import GroupMap
 from resolvendlab.numutil import euler_phi
+from resolvendlab.wildsym import WildElement, WildMonomial
 
 
 def test_cyclotomic_polynomial():
@@ -153,6 +156,31 @@ def test_rejects_floats():
         CycloElement.one(3) * 0.5
     with pytest.raises(TypeError):
         CycloElement.one(3) - 0.5
+
+
+def _group_map_value(conductor, value):
+    g = FiniteAbelianGroup([3])
+    return GroupMap.constant(g, conductor, value)(g.elements()[0])
+
+
+def _wild_coefficient(conductor, value):
+    return WildElement(conductor, {WildMonomial.one(): value}).terms[WildMonomial.one()]
+
+
+def test_field_scalars_have_one_owner():
+    # GroupMap and WildElement read their values through one rule
+    messages = set()
+    for value_at in (_group_map_value, _wild_coefficient):
+        with pytest.raises(ValueError) as info:
+            value_at(3, root_of_unity(5))
+        messages.add(str(info.value))
+        with pytest.raises(TypeError):
+            value_at(3, 0.5)
+        # a conductor dividing the ambient one is kept as it is
+        assert value_at(3, CycloElement.from_rational(2)) == CycloElement.from_rational(2)
+        assert value_at(3, root_of_unity(3)) == root_of_unity(3)
+        assert value_at(3, Fraction(1, 2)) == CycloElement.from_rational(Fraction(1, 2))
+    assert messages == {"value conductor 5 does not divide 3"}
 
 
 def test_subtract_scalars():

@@ -136,11 +136,11 @@ def _char_power_sum(phi, l, j):
 
 def test_power_sum_examples():
     phi = MultiplicativeCharacter(5, 2)
-    S, exact, bounded = power_sum_S(phi, 2)
+    S, exact, bounded = power_sum_S(phi)
     assert S.as_rational() == 20
     assert exact and bounded
     for p, n in [(7, 2), (7, 3), (11, 5)]:
-        _, exact, bounded = power_sum_S(MultiplicativeCharacter(p, n), n)
+        _, exact, bounded = power_sum_S(MultiplicativeCharacter(p, n))
         assert exact and bounded
 
 
@@ -194,16 +194,10 @@ def _power_sum_school(phi):
 )
 def test_power_sum_matches_schoolbook(p, n):
     phi = MultiplicativeCharacter(p, n)
-    S, exact, bounded = power_sum_S(phi, n)
+    S, exact, bounded = power_sum_S(phi)
     expect = _power_sum_school(phi)
     assert (S.num, S.den) == (expect.num, expect.den)
     assert exact and bounded
-
-
-def test_power_sum_validates_n():
-    phi = MultiplicativeCharacter(7, 3)
-    with pytest.raises(ValueError):
-        power_sum_S(phi, 2)
 
 
 def test_backend_coherence():

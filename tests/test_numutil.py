@@ -4,6 +4,10 @@ import sys
 from math import gcd
 from pathlib import Path
 
+import pytest
+
+from resolvendlab.cyclotomic import CycloElement
+from resolvendlab.gauss import _layer
 from resolvendlab.numutil import (
     discrete_log_table,
     divisor_list,
@@ -13,6 +17,9 @@ from resolvendlab.numutil import (
     is_prime,
     least_primitive_root,
 )
+from resolvendlab.padic import PadicCycloElement, embed_cyclo, teichmuller
+from resolvendlab.suites import SUITES, SuiteConfig
+from resolvendlab.wildsym import WildElement, c_of
 
 _BRUTE_LIMIT = 2000
 
@@ -31,6 +38,27 @@ def test_euler_phi():
     assert euler_phi(35) == 24
     # multiplicativity on coprime pairs
     assert euler_phi(15) == euler_phi(3) * euler_phi(5)
+
+
+# every entry point that takes an odd prime, with every other argument valid
+ODD_PRIME_ENTRY_POINTS = {
+    "gauss._layer": lambda p: _layer(p, 1),
+    "least_primitive_root": least_primitive_root,
+    "PadicCycloElement": lambda p: PadicCycloElement(p, 2, (0,) * (p - 1)),
+    "teichmuller": lambda p: teichmuller(1, p, 2),
+    "embed_cyclo": lambda p: embed_cyclo(CycloElement.one(), p, 2),
+    "WildElement": WildElement,
+    "c_of": lambda p: c_of(1, p),
+    "run_gauss": lambda p: SUITES["gauss"](SuiteConfig(suite="gauss", p=p)),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 9])
+@pytest.mark.parametrize("entry", sorted(ODD_PRIME_ENTRY_POINTS))
+def test_odd_prime_entry_points_reject(entry, p):
+    with pytest.raises(ValueError, match="need an odd prime, got %d" % p):
+        ODD_PRIME_ENTRY_POINTS[entry](p)
+    ODD_PRIME_ENTRY_POINTS[entry](3)
 
 
 def test_is_prime():

@@ -50,6 +50,8 @@ _ROUNDTRIP = "tests/test_groupring.py::test_transform_roundtrip"
 _KEYS = "tests/test_groupring.py::test_containers_reject_the_other_key_domain"
 _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
+_ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
+_SCALARS = "tests/test_cyclotomic.py::test_field_scalars_have_one_owner"
 
 MUTANTS = (
     Mutant(
@@ -164,6 +166,20 @@ MUTANTS = (
         "streams = ((name, SUITES[name](config)) for name in names)",
         (_CONFIG_FIRST,),
     ),
+    Mutant(
+        "odd-prime-admits-two",
+        "numutil.py",
+        "if not is_odd_prime(p):",
+        "if not is_prime(p):",
+        (_ODD_PRIME,),
+    ),
+    Mutant(
+        "as-cyclo-divisibility-flipped",
+        "cyclotomic.py",
+        "if conductor % value.conductor:",
+        "if value.conductor % conductor:",
+        (_SCALARS,),
+    ),
 )
 
 
@@ -215,7 +231,7 @@ def main(names):
             else:
                 verdict = "killed"
             bad += verdict != "killed"
-            print("%-26s %s" % (mutant.name, verdict), flush=True)
+            print("%-30s %s" % (mutant.name, verdict), flush=True)
     print("%d of %d mutants killed" % (len(chosen) - bad, len(chosen)))
     return 1 if bad else 0
 
