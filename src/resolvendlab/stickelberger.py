@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from .abelian import (
     Character,
@@ -150,21 +152,27 @@ def pairing(chi, s):
     return Fraction(t, o)
 
 
+@lru_cache(maxsize=256)
+def _pairing_row(chi):
+    """pairing(chi, s) scaled by the group exponent m, over elements().
+
+    Every |s| divides m, so each entry is an integer."""
+    group = chi.group
+    return tuple(int(pairing(chi, s) * group.exponent) for s in group.elements())
+
+
 def stickelberger_map(psi):
     """sum over s of (sum_chi n_chi * pairing(chi, s)) * s, for odd |G|."""
     group = psi.group
     if group.order % 2 == 0:
         raise ValueError("the map needs a group of odd order, got order %d" % group.order)
-    out = {}
-    for s in group.elements():
-        o = element_order(group, s)
-        total = 0
-        for chi, n in psi.coeffs.items():
-            q = pairing(chi, s)
-            total += n * q.numerator * (o // q.denominator)
-        if total:
-            out[s] = Fraction(total, o)
-    return RationalGroupElement(group, out)
+    totals = [0] * group.order
+    for chi, n in psi.coeffs.items():
+        totals = [t + n * u for t, u in zip(totals, _pairing_row(chi))]
+    m = group.exponent
+    return RationalGroupElement(
+        group, [(s, Fraction(t, m)) for s, t in zip(group.elements(), totals) if t]
+    )
 
 
 def det_map(psi):
@@ -199,8 +207,6 @@ def kappa_twist(u, x):
 
 
 def _check_unit(u, group):
-    from math import gcd
-
     m = group.exponent
     if gcd(u, m) != 1:
         raise ValueError("twist unit %d is not invertible mod %d" % (u, m))

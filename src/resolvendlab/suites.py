@@ -144,6 +144,14 @@ def _case_rng(seed, case):
     return random.Random("%s-%s" % (seed, case))
 
 
+def _trials(config, default):
+    """The configured trial count, or default; it must be at least 1."""
+    trials = config.trials if config.trials is not None else default
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
+    return trials
+
+
 def _literals(config, default, odd=False):
     """The configured group literals, or default; each must parse and, with
     odd, name a group of odd order."""
@@ -367,7 +375,7 @@ def _stickelberger_rows(literal, seed, trials):
 
 def run_stickelberger(config):
     groups = _literals(config, _STICKELBERGER_DEFAULT_GROUPS, odd=True)
-    trials = config.trials if config.trials is not None else 500
+    trials = _trials(config, 500)
     return chain.from_iterable(
         _stickelberger_rows(literal, config.seed, trials) for literal in groups
     )
@@ -548,7 +556,7 @@ def _groupring_rows(literal, seed, trials):
 
 def run_groupring(config):
     groups = _literals(config, _GROUPRING_DEFAULT_GROUPS)
-    trials = config.trials if config.trials is not None else 50
+    trials = _trials(config, 50)
     return chain.from_iterable(
         _groupring_rows(literal, config.seed, trials) for literal in groups
     )

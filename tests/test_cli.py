@@ -109,6 +109,20 @@ def test_wild_rejects_nonpositive_n(n):
         SUITES["wild"](SuiteConfig(suite="wild", n=n))
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("name", ["groupring", "stickelberger"])
+def test_randomized_suites_reject_nonpositive_trials(name, trials):
+    with pytest.raises(ValueError, match="trials"):
+        SUITES[name](SuiteConfig(suite=name, groups=("3",), trials=trials))
+
+
+@pytest.mark.parametrize("name", ["groupring", "stickelberger", "all"])
+def test_nonpositive_trials_exit_2_before_any_row(capsys, name):
+    assert main(["verify", name, "--group", "3", "--trials", "-2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "trials" in err
+
+
 def test_all_is_the_union_of_the_single_suites():
     cheap = dict(p=3, groups=("3",), trials=2, max_order=9, pmax=5)
     report, code = run(SuiteConfig(suite="all", **cheap))

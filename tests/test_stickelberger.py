@@ -13,6 +13,7 @@ from resolvendlab.stickelberger import (
     EquivariantMap,
     RationalGroupElement,
     VirtualCharacter,
+    _pairing_row,
     det_map,
     in_S,
     kappa_twist,
@@ -166,9 +167,21 @@ def test_pairing_tables_match_pairing(literal):
         assert coords == list(chi.coords)
 
 
+@pytest.mark.parametrize("literal", ["3", "9", "3,3", "7", "15", "3,9", "5,5"])
+def test_pairing_row_matches_pairing(literal):
+    g = FiniteAbelianGroup.from_literal(literal)
+    for chi in dual_enumerate(g):
+        row = _pairing_row(chi)
+        assert row == tuple(pairing(chi, s) * g.exponent for s in g.elements())
+        assert all(type(u) is int for u in row)
+        assert _pairing_row(chi) is row
+
+
 @st.composite
 def _virtual_characters(draw):
-    g = FiniteAbelianGroup.from_literal(draw(st.sampled_from(["3", "9", "3,3", "7", "15"])))
+    # "3,3", "3,9" and "5,5" are not cyclic: their exponent is not their order
+    literals = ["3", "9", "3,3", "7", "15", "3,9", "5,5"]
+    g = FiniteAbelianGroup.from_literal(draw(st.sampled_from(literals)))
     chars = dual_enumerate(g)
     vec = draw(st.lists(st.integers(-6, 6), min_size=len(chars), max_size=len(chars)))
     return VirtualCharacter(g, list(zip(chars, vec)))

@@ -52,6 +52,8 @@ _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
 _ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
 _SCALARS = "tests/test_cyclotomic.py::test_field_scalars_have_one_owner"
+_PAIRING_ROW = "tests/test_stickelberger.py::test_pairing_row_matches_pairing"
+_MAP_SUM = "tests/test_stickelberger.py::test_stickelberger_map_matches_fraction_sum"
 
 MUTANTS = (
     Mutant(
@@ -179,6 +181,20 @@ MUTANTS = (
         "if conductor % value.conductor:",
         "if value.conductor % conductor:",
         (_SCALARS,),
+    ),
+    Mutant(
+        "pairing-row-wrong-character",
+        "stickelberger.py",
+        "int(pairing(chi, s) *",
+        "int(pairing(chi.inverse(), s) *",
+        (_PAIRING_ROW, _MAP_SUM),
+    ),
+    Mutant(
+        "pairing-row-order-scale",
+        "stickelberger.py",
+        "pairing(chi, s) * group.exponent",
+        "pairing(chi, s) * group.order",
+        (_PAIRING_ROW, _MAP_SUM),
     ),
 )
 
