@@ -134,7 +134,7 @@ class _CoordTuple:
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, self.group.invariant_factors, self.coords))
+        return hash(self.coords)
 
 
 class GroupElement(_CoordTuple):

@@ -294,6 +294,9 @@ class CycloElement:
     def is_zero(self):
         return not any(self.num)
 
+    def __bool__(self):
+        return any(self.num)
+
     def as_rational(self):
         """The element as a Fraction, or None if it is irrational."""
         if any(self.num[1:]):

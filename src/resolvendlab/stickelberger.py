@@ -27,58 +27,66 @@ from .cyclotomic import _as_fraction
 
 
 class _SparseCombination:
-    """Formal combination sum_k c_k k over keys of one group, stored sparsely.
+    """Formal combination sum_k c_k k over one domain, stored sparsely.
 
-    Each coefficient goes through the subclass's _coerce, which rejects
-    floats; equal keys merge and zero coefficients drop out.
+    The domain is the group of the keys, or the prime p of a WildElement.
+    Each pair goes through the subclass's _coerce(domain, key, c), which
+    checks the key and returns the exact coefficient; equal keys merge and
+    zero coefficients drop out.
     """
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("_domain", "coeffs")
+    _sort_key = operator.attrgetter("coords")
 
-    def __init__(self, group, coeffs):
+    def __init__(self, domain, coeffs):
         coerce = self._coerce
         clean = {}
         for k, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            if k.group != group:
-                raise ValueError("%s %r does not live on %r" % (self._noun, k, group))
-            c = coerce(c)
-            if c:
-                clean[k] = clean.get(k, 0) + c
-        self.group = group
+            c = coerce(domain, k, c)
+            clean[k] = clean[k] + c if k in clean else c
+        self._domain = domain
         self.coeffs = {k: c for k, c in clean.items() if c}
 
+    def _same_domain(self, other):
+        return type(other) is type(self) and other._domain == self._domain
+
     def __add__(self, other):
-        if type(other) is not type(self) or other.group != self.group:
+        if not self._same_domain(other):
             return NotImplemented
-        merged = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            merged[k] = merged.get(k, 0) + c
-        return type(self)(self.group, merged)
+        return type(self)(self._domain, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __neg__(self):
-        return type(self)(self.group, {k: -c for k, c in self.coeffs.items()})
+        return type(self)(self._domain, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not self._same_domain(other):
+            return NotImplemented
         return self + (-other)
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
-        )
+        return self._same_domain(other) and self.coeffs == other.coeffs
+
+    def is_zero(self):
+        return not self.coeffs
 
     def items(self):
-        """The (key, coefficient) pairs sorted by key coordinates."""
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].coords)
+        """The (key, coefficient) pairs sorted by key (coordinates, or
+        exponents for monomials)."""
+        key = self._sort_key
+        return sorted(self.coeffs.items(), key=lambda kv: key(kv[0]))
 
 
 class VirtualCharacter(_SparseCombination):
     """Formal integer combination of characters of one group."""
 
     __slots__ = ()
-    _noun = "character"
-    _coerce = staticmethod(operator.index)
+    group = property(operator.attrgetter("_domain"))
+
+    @staticmethod
+    def _coerce(group, chi, n):
+        if chi.group != group:
+            raise ValueError("character %r does not live on %r" % (chi, group))
+        return operator.index(n)
 
     @classmethod
     def zero(cls, group):
@@ -106,14 +114,16 @@ class RationalGroupElement(_SparseCombination):
     """Element of Q[G] as a total map G -> Q, stored sparsely."""
 
     __slots__ = ()
-    _noun = "element"
-    _coerce = staticmethod(_as_fraction)
+    group = property(operator.attrgetter("_domain"))
+
+    @staticmethod
+    def _coerce(group, s, q):
+        if s.group != group:
+            raise ValueError("element %r does not live on %r" % (s, group))
+        return _as_fraction(q)
 
     def __getitem__(self, s):
         return self.coeffs.get(s, Fraction(0))
-
-    def is_zero(self):
-        return not self.coeffs
 
     def is_integral(self):
         """True when every coefficient is an integer."""

@@ -389,8 +389,8 @@ _WILD_DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 def _wild_pair_rows(p, n):
     ctx = WildContext(p, n)
     alpha = build_alpha(ctx)
-    ok_alpha = len(alpha.terms) == p and all(
-        c == Fraction(1, p) for c in alpha.terms.values()
+    ok_alpha = len(alpha.coeffs) == p and all(
+        c == Fraction(1, p) for c in alpha.coeffs.values()
     )
     ok_alpha = ok_alpha and all(
         omega_action(j, alpha) == alpha for j in ctx.subgroup
@@ -398,7 +398,7 @@ def _wild_pair_rows(p, n):
     yield "alpha:p%d:n%d" % (p, n), "Lemma 5.7", ok_alpha, {
         "p": p,
         "n": n,
-        "summands": len(alpha.terms),
+        "summands": len(alpha.coeffs),
     }
     ok_conj = all(
         conjugate_check(ctx, j, k) for j in range(p) for k in range(p)
@@ -421,7 +421,7 @@ def _wild_pair_rows(p, n):
     monos = {}
     for k in range(p):
         try:
-            ((mono, _coeff),) = resolvent_at(ctx, k).terms.items()
+            ((mono, _coeff),) = resolvent_at(ctx, k).coeffs.items()
             matched = transpose_eval_g(ctx, k) == mono
             monos[k] = mono
             witness = {"p": p, "n": n, "k": k, "monomial": str(mono)}
@@ -611,8 +611,8 @@ def _ramify_rows(max_order):
 
 
 def run_ramify(config):
-    if config.max_order < 1:
-        raise ValueError("max order must be positive")
+    if config.max_order < 2:
+        raise ValueError("max order must be at least 2")
     return _ramify_rows(config.max_order)
 
 

@@ -13,13 +13,19 @@ transpose evaluation of the map g built from p-th powers of the symbols.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .abelian import FiniteAbelianGroup, dual_enumerate
 from .cyclotomic import CycloElement, _as_cyclo, galois_map, root_of_unity
 from .gauss import ResidueSubgroup
 from .numutil import odd_prime
-from .stickelberger import EquivariantMap, VirtualCharacter, transpose_apply
+from .stickelberger import (
+    EquivariantMap,
+    VirtualCharacter,
+    _SparseCombination,
+    transpose_apply,
+)
 
 
 class VerificationError(ArithmeticError):
@@ -104,26 +110,21 @@ def _symbol_str(key, e):
     return base if e == 1 else "%s^%d" % (base, e)
 
 
-class WildElement:
+class WildElement(_SparseCombination):
     """Finite sum of monomials with exact Q(zeta_p) coefficients."""
 
-    __slots__ = ("p", "terms")
+    __slots__ = ()
+    p = property(operator.attrgetter("_domain"))
+    _sort_key = operator.attrgetter("exponents")
 
-    def __init__(self, p, terms=()):
-        p = odd_prime(p)
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc = {}
-        for mono, coeff in items:
-            if not isinstance(mono, WildMonomial):
-                raise TypeError("keys must be monomials, got %r" % (mono,))
-            c = _as_cyclo(coeff, p)
-            acc[mono] = acc[mono] + c if mono in acc else c
-        self.p = p
-        self.terms = {m: c for m, c in acc.items() if not c.is_zero()}
+    def __init__(self, p, coeffs=()):
+        super().__init__(odd_prime(p), coeffs)
 
-    @classmethod
-    def zero(cls, p):
-        return cls(p, ())
+    @staticmethod
+    def _coerce(p, mono, coeff):
+        if not isinstance(mono, WildMonomial):
+            raise TypeError("keys must be monomials, got %r" % (mono,))
+        return _as_cyclo(coeff, p)
 
     @classmethod
     def one(cls, p):
@@ -133,59 +134,31 @@ class WildElement:
     def monomial(cls, p, mono, coeff=1):
         return cls(p, ((mono, coeff),))
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, WildElement) or other.p != self.p:
-            return NotImplemented
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            merged[mono] = merged[mono] + c if mono in merged else c
-        return WildElement(self.p, merged)
-
-    def __neg__(self):
-        return WildElement(self.p, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, WildElement) or other.p != self.p:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, WildElement):
             if other.p != self.p:
                 raise ValueError("mixed primes %d and %d" % (self.p, other.p))
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    c = c1 * c2
-                    out[m] = out[m] + c if m in out else c
-            return WildElement(self.p, out)
+            return WildElement(
+                self.p,
+                [
+                    (m1 * m2, c1 * c2)
+                    for m1, c1 in self.coeffs.items()
+                    for m2, c2 in other.coeffs.items()
+                ],
+            )
         if isinstance(other, WildMonomial):
-            return WildElement(self.p, {m * other: c for m, c in self.terms.items()})
-        return WildElement(self.p, {m: c * other for m, c in self.terms.items()})
+            return WildElement(self.p, {m * other: c for m, c in self.coeffs.items()})
+        return WildElement(self.p, {m: c * other for m, c in self.coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (WildElement, WildMonomial)):
             return NotImplemented
         return self * other
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WildElement)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
     def __str__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
-        parts = []
-        for mono, c in sorted(self.terms.items(), key=lambda kv: kv[0].exponents):
-            parts.append("(%s)*%s" % (c, mono))
-        return " + ".join(parts)
+        return " + ".join("(%s)*%s" % (c, mono) for mono, c in self.items())
 
     def __repr__(self):
         return "WildElement(p=%d, %s)" % (self.p, self)
@@ -251,7 +224,7 @@ def tau_action(j, x):
     if j == 0:
         return x
     out = {}
-    for mono, coeff in x.terms.items():
+    for mono, coeff in x.coeffs.items():
         e = (j * mono.weight(p)) % p
         if e:
             coeff = coeff.raise_conductor(p).mul_root(e)
@@ -275,7 +248,7 @@ def omega_action(j, x):
     if j == 0:
         raise ValueError("omega needs an index prime to p")
     out = {}
-    for mono, coeff in x.terms.items():
+    for mono, coeff in x.coeffs.items():
         out[omega_monomial(j, mono, p)] = galois_map(j, coeff)
     return WildElement(p, out)
 
@@ -310,17 +283,15 @@ def resolvent_at(ctx, k):
     k = int(k) % p
     alpha = build_alpha(ctx)
     out = {}
-    for mono, base in alpha.terms.items():
+    for mono, base in alpha.coeffs.items():
         scale = base.as_rational()
         w = mono.weight(p)
-        coeff = CycloElement.from_terms(
+        out[mono] = CycloElement.from_terms(
             p, ((scale.numerator, j * (w - k)) for j in range(p)), scale.denominator
         )
-        if not coeff.is_zero():
-            out[mono] = coeff
     result = WildElement(p, out)
     expected = ctx.collapse_monomial(k)
-    if set(result.terms) != {expected} or result.terms[expected] != 1:
+    if set(result.coeffs) != {expected} or result.coeffs[expected] != 1:
         raise VerificationError(
             "character sum at k = %d did not collapse to the unit monomial %s"
             % (k, expected)
@@ -384,7 +355,7 @@ def product_contexts(ctxs):
     for ctx in tagged:
         by_k = {}
         for k in range(p):
-            ((mono, _),) = resolvent_at(ctx, k).terms.items()
+            ((mono, _),) = resolvent_at(ctx, k).coeffs.items()
             by_k[k] = mono
         res_parts.append(by_k)
         trans_parts.append({k: transpose_eval_g(ctx, k) for k in range(p)})

@@ -57,6 +57,12 @@ def test_element_arithmetic():
     assert (s ** 0).coords == (0, 0)
     assert (s ** -1) == s.inverse()
     assert g.element((5, 11)).coords == (2, 2)
+    # keys of two separately built equal groups are interchangeable
+    other = FiniteAbelianGroup((3, 9))
+    assert {s: 1}[other.element((2, 5))] == 1
+    assert hash(s) == hash(other.element((2, 5)))
+    assert g.character((2, 5)) != s and s != g.character((2, 5))
+    assert len({s, g.character((2, 5))}) == 2
 
 
 def test_element_order():

@@ -226,7 +226,7 @@ def test_criterion_06_wild_decomposition(acceptance_log):
             )
             monos = {}
             for k in range(p):
-                ((mono, coeff),) = resolvent_at(ctx, k).terms.items()
+                ((mono, coeff),) = resolvent_at(ctx, k).coeffs.items()
                 ok = ok and coeff == CycloElement.one(p)
                 ok = ok and transpose_eval_g(ctx, k) == mono
                 monos[k] = mono

@@ -103,6 +103,17 @@ def test_suite_checks_its_config_when_called(name):
         SUITES[name](SuiteConfig(suite=name, **BAD_FLAGS[name]))
 
 
+@pytest.mark.parametrize("max_order, code", [(0, 2), (1, 2), (2, 0)])
+def test_ramify_needs_room_for_a_weakly_ramified_chain(capsys, max_order, code):
+    # 2,2,1 is the first weakly ramified chain of the sweep
+    assert main(["verify", "ramify", "--max-order", str(max_order)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and "max order must be at least 2" in err
+    else:
+        assert "PASS ramify sqrt-existence [Prop 3.3]" in out
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_wild_rejects_nonpositive_n(n):
     with pytest.raises(ValueError):

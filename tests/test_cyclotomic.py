@@ -39,6 +39,8 @@ def test_root_of_unity_basics():
     assert z + root_of_unity(3, 2) == CycloElement.from_rational(-1, 3)
     # order of zeta_m^k is m/gcd(m,k)
     assert root_of_unity(12, 8) == root_of_unity(3, 2).raise_conductor(12)
+    assert bool(CycloElement.zero(5)) is False
+    assert bool(root_of_unity(5)) is True
 
 
 def test_compatibility_convention():
@@ -164,7 +166,7 @@ def _group_map_value(conductor, value):
 
 
 def _wild_coefficient(conductor, value):
-    return WildElement(conductor, {WildMonomial.one(): value}).terms[WildMonomial.one()]
+    return WildElement(conductor, {WildMonomial.one(): value}).coeffs[WildMonomial.one()]
 
 
 def test_field_scalars_have_one_owner():

@@ -21,6 +21,7 @@ from resolvendlab.stickelberger import (
     stickelberger_map,
     transpose_apply,
 )
+from resolvendlab.wildsym import WildElement, WildMonomial
 
 
 def test_pairing_identity():
@@ -287,6 +288,14 @@ def test_combinations_merge_and_cancel():
     assert theta[s] == Fraction(3, 2) and type(theta[s]) is Fraction
     assert (theta + -theta).is_zero()
     assert psi != theta
+    with pytest.raises(TypeError):
+        psi - 3
+    x, y = WildMonomial.symbol(1), WildMonomial.symbol(2, power=-1)
+    alpha = WildElement(5, [(y, 1), (x, Fraction(1, 2)), (x, root_of_unity(5))])
+    assert alpha.coeffs == {x: root_of_unity(5) + Fraction(1, 2), y: CycloElement.one()}
+    assert (alpha - alpha).coeffs == {}
+    assert alpha != VirtualCharacter(g, {}) and VirtualCharacter(g, {}) != alpha
+    assert [mono for mono, _ in alpha.items()] == [x, y]
 
 
 def test_equivariant_map_basics():

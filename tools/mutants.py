@@ -54,6 +54,7 @@ _ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
 _SCALARS = "tests/test_cyclotomic.py::test_field_scalars_have_one_owner"
 _PAIRING_ROW = "tests/test_stickelberger.py::test_pairing_row_matches_pairing"
 _MAP_SUM = "tests/test_stickelberger.py::test_stickelberger_map_matches_fraction_sum"
+_MERGE = "tests/test_stickelberger.py::test_combinations_merge_and_cancel"
 
 MUTANTS = (
     Mutant(
@@ -195,6 +196,20 @@ MUTANTS = (
         "pairing(chi, s) * group.exponent",
         "pairing(chi, s) * group.order",
         (_PAIRING_ROW, _MAP_SUM),
+    ),
+    Mutant(
+        "combination-merge-overwrites",
+        "stickelberger.py",
+        "clean[k] = clean[k] + c if k in clean else c",
+        "clean[k] = c",
+        (_MERGE,),
+    ),
+    Mutant(
+        "combination-keeps-zeros",
+        "stickelberger.py",
+        "self.coeffs = {k: c for k, c in clean.items() if c}",
+        "self.coeffs = clean",
+        (_MERGE,),
     ),
 )
 
