@@ -11,6 +11,9 @@ once and for all:
     char_exponent = sum_i (m // d_i) * chi_i * s_i  (mod m)
 
 which is bilinear in both arguments.
+
+Values are canonical: one group object per chain, one element or character
+object per reduced coordinate tuple, so equality is identity.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm, prod
 
+_GROUPS = {}  # invariant factors -> the one FiniteAbelianGroup
+
 
 class FiniteAbelianGroup:
     """Invariant factors d_1 | d_2 | ... | d_r; () is the trivial group."""
 
     __slots__ = ("invariant_factors", "_elements", "_dual", "_table")
 
-    def __init__(self, invariant_factors=()):
+    def __new__(cls, invariant_factors=()):
         factors = tuple(int(d) for d in invariant_factors)
         for d in factors:
             if d < 2:
@@ -34,10 +39,13 @@ class FiniteAbelianGroup:
                 raise ValueError(
                     "invariant factors must form a divisibility chain, got %r" % (factors,)
                 )
-        self.invariant_factors = factors
-        self._elements = None
-        self._dual = None
-        self._table = None
+        group = object.__new__(cls)
+        group.invariant_factors = factors
+        group._elements = group._dual = group._table = None
+        return _GROUPS.setdefault(factors, group)
+
+    def __reduce__(self):  # copy and pickle give back the one instance
+        return FiniteAbelianGroup, (self.invariant_factors,)
 
     @classmethod
     def from_literal(cls, text):
@@ -72,20 +80,8 @@ class FiniteAbelianGroup:
 
     def elements(self):
         if self._elements is None:
-            self._elements = tuple(
-                GroupElement(self, coords)
-                for coords in itertools.product(*[range(d) for d in self.invariant_factors])
-            )
+            self._elements = _enumerate(self, GroupElement)
         return self._elements
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteAbelianGroup)
-            and self.invariant_factors == other.invariant_factors
-        )
-
-    def __hash__(self):
-        return hash(self.invariant_factors)
 
     def __repr__(self):
         if not self.invariant_factors:
@@ -98,43 +94,35 @@ class _CoordTuple:
 
     __slots__ = ("group", "coords")
 
-    def __init__(self, group, coords):
+    def __new__(cls, group, coords):
         coords = tuple(coords)
-        if len(coords) != len(group.invariant_factors):
+        factors = group.invariant_factors
+        if len(coords) != len(factors):
             raise ValueError(
-                "expected %d coordinates for %r, got %r"
-                % (len(group.invariant_factors), group, coords)
+                "expected %d coordinates for %r, got %r" % (len(factors), group, coords)
             )
-        self.group = group
-        self.coords = tuple(int(c) % d for c, d in zip(coords, group.invariant_factors))
+        index = 0
+        for c, d in zip(coords, factors):
+            index = index * d + int(c) % d
+        return (group.elements() if cls is GroupElement else dual_enumerate(group))[index]
 
-    def _like(self, coords):
-        return type(self)(self.group, coords)
+    def __reduce__(self):  # copy and pickle give back the one instance
+        return type(self), (self.group, self.coords)
 
     def __mul__(self, other):
         if type(other) is not type(self) or other.group != self.group:
             return NotImplemented
-        return self._like(a + b for a, b in zip(self.coords, other.coords))
+        return type(self)(self.group, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __pow__(self, k):
         k = int(k)
-        return self._like(c * k for c in self.coords)
+        return type(self)(self.group, [c * k for c in self.coords])
 
     def inverse(self):
-        return self._like(-c for c in self.coords)
+        return type(self)(self.group, [-c for c in self.coords])
 
     def is_identity(self):
         return not any(self.coords)
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and other.group == self.group
-            and other.coords == self.coords
-        )
-
-    def __hash__(self):
-        return hash(self.coords)
 
 
 class GroupElement(_CoordTuple):
@@ -173,11 +161,19 @@ def char_exponent(group, chi, s):
 def dual_enumerate(group):
     """All characters of the group, in lexicographic coordinate order."""
     if group._dual is None:
-        group._dual = tuple(
-            Character(group, coords)
-            for coords in itertools.product(*[range(d) for d in group.invariant_factors])
-        )
+        group._dual = _enumerate(group, Character)
     return group._dual
+
+
+def _enumerate(group, cls):
+    """Every GroupElement or Character of group, in itertools.product order;
+    the constructor returns the entry at the mixed-radix index of coords."""
+    values = []
+    for coords in itertools.product(*map(range, group.invariant_factors)):
+        value = object.__new__(cls)
+        value.group, value.coords = group, coords
+        values.append(value)
+    return tuple(values)
 
 
 def char_table(group):

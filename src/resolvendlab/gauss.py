@@ -168,18 +168,25 @@ def verify_translation(phi, j):
     return lhs == rhs
 
 
-def _min_valuation_precision(p):
-    # smallest M with (p-1)(M-1) > p
-    return p // (p - 1) + 2
+_MIN_VALUATION_PRECISION = 3  # (p-1)(M-1) > p holds iff M >= 3, for odd primes p
+
+
+def _valuation_precision(precision, p):
+    """precision as an integer, if it certifies valuations at p."""
+    M = int(precision)
+    if M < _MIN_VALUATION_PRECISION:
+        raise PrecisionError(
+            "precision %d too small to certify valuations at p = %d" % (M, p),
+            suggested_precision=_MIN_VALUATION_PRECISION,
+        )
+    return M
 
 
 def gauss_valuation(phi, j, precision):
     """pi-adic valuation of G(phi, j) for nontrivial phi and nonzero j.
 
-    Requires (p-1)(precision-1) > p so the true valuation sits strictly
-    below the truncation cap.  The returned value always meets the lower
-    bound (p-1)/n; falling short would be arithmetic breakage, not input
-    error, and raises accordingly.
+    The precision must be at least 3.  The lower bound (p-1)/n is not
+    checked here: the caller compares the value with it.
     """
     p, n = phi.p, phi.n
     if n == 1:
@@ -187,21 +194,12 @@ def gauss_valuation(phi, j, precision):
     j = int(j) % p
     if j == 0:
         raise ValueError("j must be nonzero")
-    M = int(precision)
-    if (p - 1) * (M - 1) <= p:
-        raise PrecisionError(
-            "precision %d too small to certify valuations at p = %d" % (M, p),
-            suggested_precision=_min_valuation_precision(p),
-        )
+    M = _valuation_precision(precision, p)
     v = pi_valuation(gauss_sum_padic(phi, j, M))
     if v is AT_CAP:
         raise PrecisionError(
             "valuation of G(phi, %d) not visible at precision %d" % (j, M),
             suggested_precision=M + 2,
-        )
-    if v < (p - 1) // n:
-        raise ArithmeticError(
-            "valuation %d fell below the guaranteed bound %d" % (v, (p - 1) // n)
         )
     return v
 
@@ -301,7 +299,7 @@ def power_sum_S(phi):
     S = _cyclo_from_cyclic(L, svec)
     exact = S == _cyclo_from_cyclic(L, [(p - 1) * c for c in base_pow])
     S = S.raise_conductor(m)
-    v = pi_valuation(embed_cyclo(S, p, _min_valuation_precision(p)))
+    v = pi_valuation(embed_cyclo(S, p, _MIN_VALUATION_PRECISION))
     bounded = v is AT_CAP or v >= p - 1
     return S, exact, bounded
 

@@ -114,8 +114,11 @@ class GroupRingElement(_GroupIndexed):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloElement)):
+            n = self.conductor
+            if isinstance(other, CycloElement):
+                n = lcm(n, other.conductor)
             return GroupRingElement(
-                self.group, self.conductor, {s: v * other for s, v in self.values.items()}
+                self.group, n, {s: v * other for s, v in self.values.items()}
             )
         if isinstance(other, GroupElement):
             if other.group != self.group:

@@ -25,6 +25,7 @@ from .cyclotomic import CycloElement
 from .gauss import (
     MultiplicativeCharacter,
     _layer,
+    _valuation_precision,
     backend_coherence,
     character_sum_identity,
     gauss_sum,
@@ -73,7 +74,6 @@ from .wildsym import (
 
 CITATIONS = frozenset(
     {
-        "Prop 1.1",
         "Eq. (2)",
         "Def 3.2",
         "Prop 3.3",
@@ -247,6 +247,8 @@ def run_gauss(config):
                 )
             orders = [config.n]
         cases += [(p, n) for n in orders]
+    if config.n != 1:  # a valuation case runs, the first at primes[0]
+        _valuation_precision(config.precision, primes[0])
     return chain.from_iterable(
         _gauss_rows(p, n, config.precision, p <= deep_cap, p <= coherence_cap)
         for p, n in cases

@@ -1,7 +1,11 @@
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
 
+from resolvendlab import abelian
 from resolvendlab.abelian import (
     FiniteAbelianGroup,
     char_exponent,
@@ -63,6 +67,44 @@ def test_element_arithmetic():
     assert hash(s) == hash(other.element((2, 5)))
     assert g.character((2, 5)) != s and s != g.character((2, 5))
     assert len({s, g.character((2, 5))}) == 2
+    # values are canonical: equal values are one object
+    assert FiniteAbelianGroup((3, 9)) is FiniteAbelianGroup.from_literal("3,9")
+    assert g.element((5, 11)) is g.element((2, 2))
+    assert s * t is g.elements()[3]  # (0, 3) sits at mixed-radix index 0 * 9 + 3
+    for chi, x in zip(dual_enumerate(g), g.elements()):
+        assert chi.coords == x.coords and chi is not x
+
+
+@pytest.mark.parametrize("literal", ["3,9", "15", "3,3", "()"])
+def test_constructed_values_are_the_enumerated_ones(literal):
+    g = FiniteAbelianGroup.from_literal(literal)
+    factors = g.invariant_factors
+    elements = {x.coords: x for x in g.elements()}
+    characters = {chi.coords: chi for chi in dual_enumerate(g)}
+    assert len(elements) == len(characters) == g.order
+    box = itertools.product(*(range(-d - 1, 2 * d + 1) for d in factors))
+    for coords in box:
+        reduced = tuple(c % d for c, d in zip(coords, factors))
+        assert g.element(coords) is elements[reduced]
+        assert g.character(list(coords)) is characters[reduced]
+    assert g.identity() is g.elements()[0]
+    for value in (g, g.identity(), dual_enumerate(g)[-1]):
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
+    # a copy must not go through __new__ with the default chain and
+    # overwrite the trivial group
+    assert FiniteAbelianGroup(()).invariant_factors == ()
+    for bad in [(*factors, 1), (*factors, 7, 2)]:
+        with pytest.raises(ValueError):
+            FiniteAbelianGroup(bad)
+        assert bad not in abelian._GROUPS
+    r = len(factors)
+    for coords in [(0,) * count for count in (r - 1, r + 1) if count >= 0]:
+        with pytest.raises(ValueError, match="coordinates"):
+            g.element(coords)
+        with pytest.raises(ValueError, match="coordinates"):
+            g.character(coords)
 
 
 def test_element_order():

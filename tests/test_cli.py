@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from resolvendlab.cli import build_parser, main
-from resolvendlab.suites import SUITES, ReportRecord, SuiteConfig, run
+from resolvendlab.suites import CITATIONS, SUITES, ReportRecord, SuiteConfig, run
 
 
 def test_parser_defaults(capsys):
@@ -82,25 +82,27 @@ def test_every_config_is_checked_before_any_row(monkeypatch):
         run(SuiteConfig(suite="all", product=0))
 
 
-BAD_FLAGS = {
-    "gauss": dict(pmax=2),
-    "groupring": dict(groups=("x",)),
-    "ramify": dict(max_order=0),
-    "stickelberger": dict(groups=("2",)),
-    "wild": dict(product=0),
-}
+BAD_FLAGS = [
+    pytest.param("gauss", dict(pmax=2), id="gauss"),
+    # too small to certify the first valuation case
+    pytest.param("gauss", dict(precision=2), id="gauss-precision"),
+    pytest.param("groupring", dict(groups=("x",)), id="groupring"),
+    pytest.param("ramify", dict(max_order=0), id="ramify"),
+    pytest.param("stickelberger", dict(groups=("2",)), id="stickelberger"),
+    pytest.param("wild", dict(product=0), id="wild"),
+]
 
 
 def test_bad_flags_cover_every_suite():
-    assert set(BAD_FLAGS) == set(SUITES)
+    assert {case.values[0] for case in BAD_FLAGS} == set(SUITES)
 
 
-@pytest.mark.parametrize("name", sorted(BAD_FLAGS))
-def test_suite_checks_its_config_when_called(name):
+@pytest.mark.parametrize("name, flags", BAD_FLAGS)
+def test_suite_checks_its_config_when_called(name, flags):
     # the rows are never drawn: a run_<suite> that is itself a generator
     # would defer its checks and return here without raising
     with pytest.raises(ValueError):
-        SUITES[name](SuiteConfig(suite=name, **BAD_FLAGS[name]))
+        SUITES[name](SuiteConfig(suite=name, **flags))
 
 
 @pytest.mark.parametrize("max_order, code", [(0, 2), (1, 2), (2, 0)])
@@ -132,6 +134,14 @@ def test_nonpositive_trials_exit_2_before_any_row(capsys, name):
     assert main(["verify", name, "--group", "3", "--trials", "-2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "trials" in err
+
+
+def test_every_citation_is_emitted():
+    # one small run that also covers the wild --product rows
+    cheap = dict(p=3, product=2, groups=("3",), trials=2, max_order=9, pmax=5)
+    report, code = run(SuiteConfig(suite="all", **cheap))
+    assert code == 0
+    assert {r["citation"] for r in report["records"]} == CITATIONS
 
 
 def test_all_is_the_union_of_the_single_suites():
@@ -185,8 +195,14 @@ def test_bad_group_literal_exits_2(capsys):
 
 def test_small_precision_exits_2(capsys):
     assert main(["verify", "gauss", "--p", "7", "--precision", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "try --precision" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: precision 1 too small to certify valuations at p = 7"
+        " (try --precision 3)\n"
+    )
+    # no valuation case runs at n = 1, so no precision is too small
+    assert main(["verify", "gauss", "--n", "1", "--precision", "1"]) == 0
 
 
 def test_even_group_rejected(capsys):

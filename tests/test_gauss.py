@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resolvendlab import gauss
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.gauss import (
     MultiplicativeCharacter,
@@ -16,6 +17,7 @@ from resolvendlab.gauss import (
     verify_translation,
 )
 from resolvendlab.padic import PrecisionError
+from resolvendlab.suites import SuiteConfig, run
 from resolvendlab.wildsym import WildContext
 
 
@@ -104,6 +106,16 @@ def test_gauss_valuation_rejects_small_precision():
     with pytest.raises(PrecisionError) as info:
         gauss_valuation(phi, 1, 1)
     assert info.value.suggested_precision >= 3
+
+
+def test_valuation_below_bound_is_a_fail_record(monkeypatch):
+    # a broken kernel must give FAIL records, not an exception out of the run
+    monkeypatch.setattr(gauss, "pi_valuation", lambda x: 0)
+    report, code = run(SuiteConfig(suite="gauss", p=7))
+    assert code == 1
+    failed = [r for r in report["records"] if not r["pass"]]
+    valuations = [r for r in failed if r["case"].startswith("valuation:p7:")]
+    assert valuations and all(r["witness"]["valuation"] == 0 for r in valuations)
 
 
 def test_character_sum_identity():

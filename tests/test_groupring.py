@@ -244,3 +244,14 @@ def test_group_element_scalar_mul():
     s0 = g.element((5,))
     shifted = r * s0
     assert shifted(s0) == CycloElement.one(9)
+
+
+def test_scalar_of_another_conductor_mul():
+    # a scalar in Q(zeta_5) times an element over Q(zeta_3) lives over Q(zeta_15)
+    g = FiniteAbelianGroup([3])
+    r = GroupRingElement.identity(g, 3)
+    zeta5 = root_of_unity(5)
+    for product in (r * zeta5, zeta5 * r):
+        assert product.conductor == 15
+        assert product(g.identity()) == zeta5
+        assert all(product(s).is_zero() for s in g.elements() if not s.is_identity())

@@ -55,6 +55,7 @@ _SCALARS = "tests/test_cyclotomic.py::test_field_scalars_have_one_owner"
 _PAIRING_ROW = "tests/test_stickelberger.py::test_pairing_row_matches_pairing"
 _MAP_SUM = "tests/test_stickelberger.py::test_stickelberger_map_matches_fraction_sum"
 _MERGE = "tests/test_stickelberger.py::test_combinations_merge_and_cancel"
+_CANONICAL = "tests/test_abelian.py::test_constructed_values_are_the_enumerated_ones"
 
 MUTANTS = (
     Mutant(
@@ -210,6 +211,20 @@ MUTANTS = (
         "self.coeffs = {k: c for k, c in clean.items() if c}",
         "self.coeffs = clean",
         (_MERGE,),
+    ),
+    Mutant(
+        "coord-digit-unreduced",
+        "abelian.py",
+        "index = index * d + int(c) % d",
+        "index = index * d + int(c)",
+        (_CANONICAL,),
+    ),
+    Mutant(
+        "coord-radix-reversed",
+        "abelian.py",
+        "for c, d in zip(coords, factors):",
+        "for c, d in zip(coords[::-1], factors[::-1]):",
+        (_CANONICAL,),
     ),
 )
 
