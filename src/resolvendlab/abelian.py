@@ -19,6 +19,7 @@ object per reduced coordinate tuple, so equality is identity.
 from __future__ import annotations
 
 import itertools
+import operator
 from math import gcd, lcm, prod
 
 _GROUPS = {}  # invariant factors -> the one FiniteAbelianGroup
@@ -103,7 +104,7 @@ class _CoordTuple:
             )
         index = 0
         for c, d in zip(coords, factors):
-            index = index * d + int(c) % d
+            index = index * d + operator.index(c) % d
         return (group.elements() if cls is GroupElement else dual_enumerate(group))[index]
 
     def __reduce__(self):  # copy and pickle give back the one instance
@@ -115,7 +116,7 @@ class _CoordTuple:
         return type(self)(self.group, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __pow__(self, k):
-        k = int(k)
+        k = operator.index(k)
         return type(self)(self.group, [c * k for c in self.coords])
 
     def inverse(self):

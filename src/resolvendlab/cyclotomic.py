@@ -11,13 +11,15 @@ Coefficients are integer vectors over one denominator, and from_terms,
 which builds every sum of roots of unity, takes integer terms the same way;
 only the constructor, from_rational and from_json read Fractions.  Products
 above 14 x 14 coefficients go through a packed big-integer multiply so that
-conductors in the low thousands stay cheap.  Every reduction mod Phi_m, of
-a sum of roots of unity or of a product, folds by x^m = 1 and then adds one
-cached sparse row x^k mod Phi_m per exponent k >= phi(m) left.  The same
-product and reduction serve Z_p[zeta_p] (padic); the square-and-multiply
-helper serves padic and the packed gauss power sums in Z[y]/(y^{pn} - 1) as
-well.  Inverses are the product of the other Galois conjugates over the
-rational norm, so no arithmetic here works on Fraction polynomials.
+conductors in the low thousands stay cheap.  _reduce is the one reduction
+mod Phi_m: it takes integer terms (c, e), of a sum of roots of unity or of
+a product, buckets the exponents mod m (x^m = 1) and adds one cached sparse
+row x^k mod Phi_m per bucket k >= phi(m); there is no second reduction
+loop.  The same product and reduction serve Z_p[zeta_p] (padic); the
+square-and-multiply helper serves padic and the packed gauss power sums in
+Z[y]/(y^{pn} - 1) as well.  Inverses are the product of the other Galois
+conjugates over the rational norm, so no arithmetic here works on Fraction
+polynomials.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 
 from .numutil import divisor_list, euler_phi
@@ -154,17 +157,6 @@ def _reduction_rows(m):
     return tuple(rows)
 
 
-def _fold(vec, m):
-    """vec reduced by x^m = 1: the length-m list whose slot i sums vec[k]
-    over k = i mod m."""
-    out = list(vec[:m])
-    out += [0] * (m - len(out))
-    for start in range(m, len(vec), m):
-        chunk = vec[start : start + m]
-        out[: len(chunk)] = [a + b for a, b in zip(out, chunk)]
-    return out
-
-
 def _power(base, k, mul):
     """base ** k for k >= 1 by left-to-right square-and-multiply.
 
@@ -179,21 +171,31 @@ def _power(base, k, mul):
     return result
 
 
-def _reduce_int_mod_cyclo(m, vec):
-    """Reduce an integer coefficient vector mod Phi_m; returns length phi(m)."""
+def _reduce(m, terms):
+    """sum c * x^e mod Phi_m over integer pairs (c, e), as the length-phi(m)
+    integer vector: the one reduction mod Phi_m.
+
+    Exponents are taken mod m (x^m = 1) and bucketed first, so each exponent
+    at or above phi(m) costs one sparse reduction row however many terms
+    share it.
+    """
     phi = euler_phi(m)
-    # x^m = 1 holds mod Phi_m, so fold high exponents first
-    vec = _fold(vec, m) if len(vec) > m else list(vec)
-    if len(vec) > phi:
+    num = [0] * phi
+    high = {}
+    for c, e in terms:
+        if not c:
+            continue
+        e %= m
+        if e < phi:
+            num[e] += c
+        else:
+            high[e] = high.get(e, 0) + c
+    if high:
         rows = _reduction_rows(m)
-        for k in range(phi, len(vec)):
-            c = vec[k]
-            if c:
-                for i, t in rows[k - phi]:
-                    vec[i] += c * t
-        del vec[phi:]
-    vec += [0] * (phi - len(vec))
-    return vec
+        for e, c in high.items():
+            for i, t in rows[e - phi]:
+                num[i] += c * t
+    return num
 
 
 def _canonical(conductor, num, den):
@@ -260,29 +262,9 @@ class CycloElement:
     @classmethod
     def from_terms(cls, conductor, terms, den=1):
         """Canonical form of (sum c * zeta_m^e) / den over an iterable of
-        integer pairs (c, e), den a positive integer.
-
-        Terms are bucketed by exponent mod m first, so each exponent at or
-        above phi(m) costs one sparse reduction row however many share it.
-        """
+        integer pairs (c, e), den a positive integer."""
         conductor = int(conductor)
-        phi = euler_phi(conductor)
-        num = [0] * phi
-        high = {}
-        for c, e in terms:
-            if not c:
-                continue
-            e %= conductor
-            if e < phi:
-                num[e] += c
-            else:
-                high[e] = high.get(e, 0) + c
-        if high:
-            rows = _reduction_rows(conductor)
-            for e, c in high.items():
-                for i, t in rows[e - phi]:
-                    num[i] += c * t
-        return _canonical(conductor, num, den)
+        return _canonical(conductor, _reduce(conductor, terms), den)
 
     @classmethod
     def from_json(cls, doc):
@@ -366,7 +348,7 @@ class CycloElement:
         if pair is None:
             return NotImplemented
         a, b = pair
-        red = _reduce_int_mod_cyclo(a.conductor, _polymul_int(a.num, b.num))
+        red = _reduce(a.conductor, zip(_polymul_int(a.num, b.num), count()))
         return _canonical(a.conductor, red, a.den * b.den)
 
     __rmul__ = __mul__
@@ -385,7 +367,7 @@ class CycloElement:
         return self.inverse() * other
 
     def __pow__(self, k):
-        k = int(k)
+        k = operator.index(k)
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:

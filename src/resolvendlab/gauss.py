@@ -12,14 +12,9 @@ object and can be compared digit by digit after embedding.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 
-from .cyclotomic import (
-    CycloElement,
-    _canonical,
-    _power,
-    _reduce_int_mod_cyclo,
-    root_of_unity,
-)
+from .cyclotomic import CycloElement, _power, root_of_unity
 from .numutil import discrete_log_table, least_primitive_root, odd_prime
 from .padic import (
     AT_CAP,
@@ -222,10 +217,6 @@ def character_sum_identity(phi, j):
     return lhs == rhs
 
 
-def _cyclo_from_cyclic(m, vec):
-    return _canonical(m, _reduce_int_mod_cyclo(m, vec), 1)
-
-
 def _cyclic_power(vec, k):
     """vec ** k in Z[y]/(y^L - 1), L = len(vec), for a non-negative integer
     vector vec and k >= 1.
@@ -296,8 +287,8 @@ def power_sum_S(phi):
         if j == 1:
             base_pow = powed
         svec = [a + b for a, b in zip(svec, powed)]
-    S = _cyclo_from_cyclic(L, svec)
-    exact = S == _cyclo_from_cyclic(L, [(p - 1) * c for c in base_pow])
+    S = CycloElement.from_terms(L, zip(svec, count()))
+    exact = S == CycloElement.from_terms(L, zip([(p - 1) * c for c in base_pow], count()))
     S = S.raise_conductor(m)
     v = pi_valuation(embed_cyclo(S, p, _MIN_VALUATION_PRECISION))
     bounded = v is AT_CAP or v >= p - 1

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import count
 from math import comb
 
-from .cyclotomic import _polymul_int, _power, _reduce_int_mod_cyclo
+from .cyclotomic import _polymul_int, _power, _reduce
 from .numutil import least_primitive_root, odd_prime
 
 
@@ -37,6 +38,14 @@ class _AtCap:
 AT_CAP = _AtCap()
 
 
+def _precision(precision):
+    """precision as an integer M >= 1."""
+    precision = int(precision)
+    if precision < 1:
+        raise ValueError("precision must be >= 1, got %r" % (precision,))
+    return precision
+
+
 def _make(p, precision, modulus, coeffs):
     """The element coeffs mod modulus, unchecked: p, precision and modulus
     come from a valid element and coeffs are p - 1 integers."""
@@ -55,10 +64,8 @@ class PadicCycloElement:
 
     def __init__(self, p, precision, coeffs):
         p = odd_prime(p)
-        precision = int(precision)
-        if precision < 1:
-            raise ValueError("precision must be >= 1, got %r" % (precision,))
-        coeffs = tuple(int(c) for c in coeffs)
+        precision = _precision(precision)
+        coeffs = tuple(map(operator.index, coeffs))
         if len(coeffs) != p - 1:
             raise ValueError("expected %d coefficients, got %d" % (p - 1, len(coeffs)))
         self.p = p
@@ -73,7 +80,7 @@ class PadicCycloElement:
     @classmethod
     def from_int(cls, value, p, precision):
         coeffs = [0] * (p - 1)
-        coeffs[0] = int(value)
+        coeffs[0] = operator.index(value)
         return cls(p, precision, coeffs)
 
     @classmethod
@@ -83,9 +90,7 @@ class PadicCycloElement:
     @classmethod
     def zeta_power(cls, p, precision, e):
         """zeta^e; the overflow exponent p-1 folds through Phi_p."""
-        coeffs = [0] * p
-        coeffs[int(e) % p] = 1
-        return cls(p, precision, _reduce_int_mod_cyclo(p, coeffs))
+        return cls(p, precision, _reduce(p, ((1, e),)))
 
     def _check(self, other):
         if self.p != other.p or self.precision != other.precision:
@@ -106,7 +111,9 @@ class PadicCycloElement:
         return _make(self.p, self.precision, self.modulus, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, PadicCycloElement) else -int(other))
+        if not isinstance(other, (int, PadicCycloElement)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -117,13 +124,13 @@ class PadicCycloElement:
         if not isinstance(other, PadicCycloElement):
             return NotImplemented
         self._check(other)
-        prod = _reduce_int_mod_cyclo(self.p, _polymul_int(self.coeffs, other.coeffs))
+        prod = _reduce(self.p, zip(_polymul_int(self.coeffs, other.coeffs), count()))
         return _make(self.p, self.precision, self.modulus, prod)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = int(k)
+        k = operator.index(k)
         if k < 0:
             raise ValueError("negative powers are not defined in Z_p[zeta_p]")
         if k == 0:
@@ -178,11 +185,12 @@ def teichmuller(k, p, precision):
     """The unique (p-1)-th root of unity in Z_p congruent to k mod p,
     as an integer mod p^M; found by iterating x -> x^p to its fixpoint."""
     p = odd_prime(p)
+    precision = _precision(precision)
     if k % p == 0:
         raise ValueError("teichmuller lift needs k nonzero mod p, got %r" % (k,))
-    mod = p ** int(precision)
+    mod = p**precision
     x = k % mod
-    for _ in range(int(precision) + 1):
+    for _ in range(precision + 1):
         nxt = pow(x, p, mod)
         if nxt == x:
             break
@@ -245,8 +253,5 @@ def embed_cyclo(x, p, precision):
     if y.den % p == 0:
         raise ValueError("denominator %d is divisible by p = %d" % (y.den, p))
     inv_den = pow(y.den, -1, mod)
-    acc = [0] * p
-    for e, c in enumerate(y.num):
-        if c:
-            acc[(-e) % p] += c * inv_den % mod * omega[e % (p - 1)]
-    return PadicCycloElement(p, precision, _reduce_int_mod_cyclo(p, acc))
+    terms = ((c * inv_den % mod * omega[e % (p - 1)], -e) for e, c in enumerate(y.num) if c)
+    return PadicCycloElement(p, precision, _reduce(p, terms))

@@ -43,7 +43,7 @@ class WildMonomial:
         acc = {}
         for key, e in items:
             tag, i = key
-            e = int(e)
+            e = operator.index(e)
             if e:
                 k = (int(tag), int(i))
                 acc[k] = acc.get(k, 0) + e
@@ -70,7 +70,7 @@ class WildMonomial:
         return WildMonomial(tuple(self.exponents) + tuple(other.exponents))
 
     def __pow__(self, e):
-        e = int(e)
+        e = operator.index(e)
         return WildMonomial(tuple((k, v * e) for k, v in self.exponents))
 
     def inverse(self):

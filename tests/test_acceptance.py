@@ -4,6 +4,7 @@ Every check either verifies an identity exactly or certifies a valuation
 bound; the stated runtime limits are asserted where they apply.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -337,6 +338,8 @@ def test_criterion_10_determinism(capsys, acceptance_log):
     ok = ok and first == second and first.strip()
     doc = json.loads(first)
     ok = ok and doc["failed"] == 0
+    # the bytes every arithmetic refactor must leave alone
+    ok = ok and hashlib.md5(first.encode()).hexdigest() == "572ead444dbcb344e3ee4b12f46df3b6"
     _finish(acceptance_log, 
         10, "verify all twice is byte-identical", bool(ok), time.perf_counter() - t0
     )

@@ -1,4 +1,5 @@
 import random
+from itertools import count
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import (
     CycloElement,
-    _fold,
-    _reduce_int_mod_cyclo,
+    _reduce,
     _reduction_rows,
     conjugate,
     cyclotomic_polynomial,
@@ -19,6 +19,7 @@ from resolvendlab.cyclotomic import (
 from resolvendlab.abelian import FiniteAbelianGroup
 from resolvendlab.groupring import GroupMap
 from resolvendlab.numutil import euler_phi
+from resolvendlab.padic import PadicCycloElement
 from resolvendlab.wildsym import WildElement, WildMonomial
 
 
@@ -185,6 +186,44 @@ def test_field_scalars_have_one_owner():
     assert messages == {"value conductor 5 does not divide 3"}
 
 
+_G3 = FiniteAbelianGroup([3])
+_PADIC_ONE = PadicCycloElement.one(7, 3)
+
+# (site, the site applied to a value, an integer value, its expected result)
+_INTEGER_SITES = [
+    ("cyclo-pow", lambda k: root_of_unity(7) ** k, 3, root_of_unity(7, 3)),
+    ("padic-init", lambda c: PadicCycloElement(7, 3, [c, 0, 0, 0, 0, 0]), 2, 2),
+    ("padic-from-int", lambda c: PadicCycloElement.from_int(c, 7, 3), 2, 2),
+    ("padic-sub", lambda c: _PADIC_ONE - c, 1, 0),
+    ("padic-pow", lambda k: PadicCycloElement.zeta_power(7, 3, 1) ** k, 7, 1),
+    (
+        "monomial-init",
+        lambda e: WildMonomial({(0, 1): e}),
+        2,
+        WildMonomial.symbol(1, power=2),
+    ),
+    (
+        "monomial-pow",
+        lambda e: WildMonomial.symbol(1, power=3) ** e,
+        2,
+        WildMonomial.symbol(1, power=6),
+    ),
+    ("coords-new", lambda c: _G3.element([c]), 4, _G3.element([1])),
+    ("coords-pow", lambda k: _G3.element([1]) ** k, 2, _G3.element([2])),
+]
+
+
+@pytest.mark.parametrize(
+    "apply, good, expect", [s[1:] for s in _INTEGER_SITES], ids=[s[0] for s in _INTEGER_SITES]
+)
+def test_integer_inputs_reject_non_integers(apply, good, expect):
+    # a float or Fraction is refused, never truncated to an integer
+    assert apply(good) == expect
+    for bad in (0.5, 1.5, Fraction(1, 2), Fraction(1, 3)):
+        with pytest.raises(TypeError):
+            apply(bad)
+
+
 def test_subtract_scalars():
     x = CycloElement.from_terms(5, [(2, 1), (1, 0)])
     z = root_of_unity(5, 1) + root_of_unity(5, 1)
@@ -294,18 +333,6 @@ def test_inverse_is_involutive_and_multiplicative(data):
     assert (x * y).inverse() == inv * y.inverse()
 
 
-@_property
-@given(
-    st.integers(min_value=1, max_value=40),
-    st.lists(st.integers(-(10**6), 10**6), max_size=200),
-)
-def test_fold_matches_modular_accumulation(m, vec):
-    direct = [0] * m
-    for k, c in enumerate(vec):
-        direct[k % m] += c
-    assert _fold(vec, m) == direct
-
-
 # every conductor up to 120, and the gauss conductors p(p-1) for odd p <= 31
 _ROW_CONDUCTORS = sorted(
     set(range(1, 121)) | {p * (p - 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)}
@@ -339,7 +366,7 @@ def _long_vectors(draw):
 @given(_long_vectors())
 def test_reduce_matches_descending_reference(data):
     m, vec = data
-    assert _reduce_int_mod_cyclo(m, vec) == _reduce_descending(m, vec)
+    assert _reduce(m, zip(vec, count())) == _reduce_descending(m, vec)
 
 
 @st.composite

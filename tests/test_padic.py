@@ -32,6 +32,16 @@ def test_teichmuller_rejects_zero():
         teichmuller(10, 5, 2)
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_precision_has_one_rule(precision):
+    # the constructor and teichmuller reject a precision below 1 alike
+    message = "precision must be >= 1, got %d" % precision
+    with pytest.raises(ValueError, match=message):
+        PadicCycloElement.zero(7, precision)
+    with pytest.raises(ValueError, match=message):
+        teichmuller(3, 7, precision)
+
+
 def test_teichmuller_multiplicative():
     p, M = 7, 4
     mod = p ** M

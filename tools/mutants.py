@@ -89,8 +89,15 @@ MUTANTS = (
     Mutant(
         "reduce-fold-dropped",
         "cyclotomic.py",
-        "vec = _fold(vec, m) if len(vec) > m else list(vec)",
-        "vec = list(vec)",
+        "e %= m",
+        "e = e",
+        (_REDUCE, _ARITH),
+    ),
+    Mutant(
+        "reduce-bucket-overwrites",
+        "cyclotomic.py",
+        "high[e] = high.get(e, 0) + c",
+        "high[e] = c",
         (_REDUCE, _ARITH),
     ),
     Mutant(
@@ -103,15 +110,15 @@ MUTANTS = (
     Mutant(
         "embed-slot-sign-dropped",
         "padic.py",
-        "acc[(-e) % p] +=",
-        "acc[e % p] +=",
+        "omega[e % (p - 1)], -e)",
+        "omega[e % (p - 1)], e)",
         (_HAND_FOLD, _EMBED),
     ),
     Mutant(
         "zeta-power-mod-p-minus-1",
         "padic.py",
-        "coeffs[int(e) % p] = 1",
-        "coeffs[int(e) % (p - 1)] = 1",
+        "_reduce(p, ((1, e),))",
+        "_reduce(p, ((1, e % (p - 1)),))",
         (_HAND_FOLD, _COHERENCE),
     ),
     Mutant(
@@ -215,8 +222,8 @@ MUTANTS = (
     Mutant(
         "coord-digit-unreduced",
         "abelian.py",
-        "index = index * d + int(c) % d",
-        "index = index * d + int(c)",
+        "index = index * d + operator.index(c) % d",
+        "index = index * d + operator.index(c)",
         (_CANONICAL,),
     ),
     Mutant(
