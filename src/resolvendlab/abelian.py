@@ -31,7 +31,7 @@ class FiniteAbelianGroup:
     __slots__ = ("invariant_factors", "_elements", "_dual", "_table")
 
     def __new__(cls, invariant_factors=()):
-        factors = tuple(int(d) for d in invariant_factors)
+        factors = tuple(operator.index(d) for d in invariant_factors)
         for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2, got %r" % (d,))

@@ -223,7 +223,7 @@ class CycloElement:
     __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor, coeffs):
-        conductor = int(conductor)
+        conductor = operator.index(conductor)
         phi = euler_phi(conductor)
         coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) != phi:
@@ -246,7 +246,7 @@ class CycloElement:
 
     @classmethod
     def zero(cls, conductor=1):
-        return _canonical(int(conductor), (0,) * euler_phi(conductor), 1)
+        return _canonical(operator.index(conductor), (0,) * euler_phi(conductor), 1)
 
     @classmethod
     def one(cls, conductor=1):
@@ -254,22 +254,23 @@ class CycloElement:
 
     @classmethod
     def from_rational(cls, value, conductor=1):
+        conductor = operator.index(conductor)
         q = _as_fraction(value)
         num = [0] * euler_phi(conductor)
         num[0] = q.numerator
-        return _canonical(int(conductor), num, q.denominator)
+        return _canonical(conductor, num, q.denominator)
 
     @classmethod
     def from_terms(cls, conductor, terms, den=1):
         """Canonical form of (sum c * zeta_m^e) / den over an iterable of
         integer pairs (c, e), den a positive integer."""
-        conductor = int(conductor)
+        conductor = operator.index(conductor)
         return _canonical(conductor, _reduce(conductor, terms), den)
 
     @classmethod
     def from_json(cls, doc):
         conductor, pairs = doc
-        return cls(int(conductor), [Fraction(int(n), int(d)) for n, d in pairs])
+        return cls(conductor, [Fraction(n, d) for n, d in pairs])
 
     # -- structure ------------------------------------------------------
 
@@ -287,7 +288,7 @@ class CycloElement:
 
     def raise_conductor(self, conductor):
         """Rewrite in Q(zeta_conductor); conductor must be a multiple of ours."""
-        conductor = int(conductor)
+        conductor = operator.index(conductor)
         if conductor == self.conductor:
             return self
         if conductor % self.conductor:
@@ -432,7 +433,7 @@ def root_of_unity(conductor, k=1):
 def galois_map(u, x):
     """The field automorphism determined by zeta_m -> zeta_m^u, gcd(u, m) = 1."""
     m = x.conductor
-    u = int(u)
+    u = operator.index(u)
     if gcd(u, m) != 1:
         raise ValueError("galois_map needs gcd(u, m) = 1, got u=%d mod m=%d" % (u, m))
     return CycloElement.from_terms(m, ((c, i * u) for i, c in enumerate(x.num) if c), x.den)

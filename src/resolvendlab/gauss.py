@@ -11,6 +11,7 @@ object and can be compared digit by digit after embedding.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import count
 
@@ -29,7 +30,7 @@ from .padic import (
 def _layer(p, n):
     """(p, n) as integers, for an odd prime p and a divisor n >= 1 of p - 1."""
     p = odd_prime(p)
-    n = int(n)
+    n = operator.index(n)
     if n < 1 or (p - 1) % n:
         raise ValueError("n = %d is not a positive divisor of %d" % (n, p - 1))
     return p, n
@@ -100,7 +101,7 @@ class ResidueSubgroup:
         return len(self.elements)
 
     def __contains__(self, k):
-        return int(k) % self.p in self._members
+        return operator.index(k) % self.p in self._members
 
     def __repr__(self):
         return "ResidueSubgroup(p=%d, n=%d, %r)" % (self.p, self.n, self.elements)
@@ -140,7 +141,7 @@ def _gauss_padic(p, n, j, precision):
 def gauss_sum(phi, j):
     """G(phi, j) = sum over k in F_p of phi(k) zeta_p^{jk}, exact at
     conductor p(p-1)."""
-    return _gauss_cyclo_exponent(phi.p, (phi.p - 1) // phi.n, int(j) % phi.p)
+    return _gauss_cyclo_exponent(phi.p, (phi.p - 1) // phi.n, operator.index(j) % phi.p)
 
 
 def gauss_sum_padic(phi, j, precision):
@@ -149,13 +150,13 @@ def gauss_sum_padic(phi, j, precision):
     It agrees with gauss_sum after embed_cyclo; backend_coherence checks
     that law, it is not assumed.
     """
-    return _gauss_padic(phi.p, phi.n, int(j) % phi.p, int(precision))
+    return _gauss_padic(phi.p, phi.n, operator.index(j) % phi.p, operator.index(precision))
 
 
 def verify_translation(phi, j):
     """Exact check of G(phi, j) = phi(j)^{-1} G(phi, 1), j nonzero."""
     p = phi.p
-    j = int(j) % p
+    j = operator.index(j) % p
     if j == 0:
         raise ValueError("translation identity needs j != 0")
     lhs = gauss_sum(phi, j)
@@ -168,7 +169,7 @@ _MIN_VALUATION_PRECISION = 3  # (p-1)(M-1) > p holds iff M >= 3, for odd primes 
 
 def _valuation_precision(precision, p):
     """precision as an integer, if it certifies valuations at p."""
-    M = int(precision)
+    M = operator.index(precision)
     if M < _MIN_VALUATION_PRECISION:
         raise PrecisionError(
             "precision %d too small to certify valuations at p = %d" % (M, p),
@@ -186,7 +187,7 @@ def gauss_valuation(phi, j, precision):
     p, n = phi.p, phi.n
     if n == 1:
         raise ValueError("valuation bound concerns nontrivial characters")
-    j = int(j) % p
+    j = operator.index(j) % p
     if j == 0:
         raise ValueError("j must be nonzero")
     M = _valuation_precision(precision, p)
@@ -204,7 +205,7 @@ def character_sum_identity(phi, j):
     p, n = phi.p, phi.n
     if n == 1:
         raise ValueError("identity needs a nontrivial character")
-    j = int(j) % p
+    j = operator.index(j) % p
     if j == 0:
         raise ValueError("j must be nonzero")
     step = (p - 1) // n

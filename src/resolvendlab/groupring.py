@@ -9,6 +9,9 @@ Conventions, fixed once:
 so transform(resolvend(a)) evaluated at chi equals resolvent(a, chi), and
 inverse_transform undoes it.  Group maps, group-ring elements and character
 vectors are one keyed container over either the elements or the characters.
+One conductor rule: every sum, scale, shift, product and pointwise result
+lives over the lcm of its operands' conductors, and _GroupIndexed._build is
+the only place that applies it.
 All three sums run through one kernel: transform reads the rows of the
 group's cached char_table, inverse_transform its columns, and resolvent
 builds its one row from char_exponent directly.  Everything is dense and
@@ -17,6 +20,7 @@ O(|G|^2); the scales here never justify anything fancier.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -43,7 +47,7 @@ class _GroupIndexed:
     _key_noun = "group element"
 
     def __init__(self, group, conductor, values):
-        conductor = int(conductor)
+        conductor = operator.index(conductor)
         if conductor % group.exponent:
             raise ValueError(
                 "conductor %d is not divisible by the group exponent %d"
@@ -56,15 +60,22 @@ class _GroupIndexed:
         self.conductor = conductor
         self.values = {k: _as_cyclo(values[k], conductor) for k in keys}
 
+    def _build(self, conductor, values):
+        """A result of this type and group, over the lcm of both conductors."""
+        return type(self)(self.group, lcm(self.conductor, conductor), values)
+
+    def _same(self, other):
+        """True when other is a container of this type over this group."""
+        return type(other) is type(self) and other.group is self.group
+
     def __call__(self, s):
         return self.values[s]
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.group == other.group
-            and all(self.values[k] == other.values[k] for k in self._keys(self.group))
-        )
+        return self._same(other) and self.values == other.values
+
+    def __repr__(self):
+        return "%s(%r, N=%d)" % (type(self).__name__, self.group, self.conductor)
 
     @classmethod
     def from_function(cls, group, conductor, fn):
@@ -85,9 +96,6 @@ class GroupMap(_GroupIndexed):
     def indicator(cls, group, conductor, s0):
         return cls.from_function(group, conductor, lambda s: int(s == s0))
 
-    def __repr__(self):
-        return "GroupMap(%r, N=%d)" % (self.group, self.conductor)
-
 
 class GroupRingElement(_GroupIndexed):
     """Element sum_s c_s s of the group ring Q(zeta_N)[G]."""
@@ -97,38 +105,25 @@ class GroupRingElement(_GroupIndexed):
         return cls.from_function(group, conductor, lambda s: int(s.is_identity()))
 
     def __add__(self, other):
-        if not isinstance(other, GroupRingElement) or other.group != self.group:
+        if not self._same(other):
             return NotImplemented
-        n = lcm(self.conductor, other.conductor)
-        return GroupRingElement(
-            self.group, n, {s: self.values[s] + other.values[s] for s in self.group.elements()}
+        return self._build(
+            other.conductor, {s: v + other.values[s] for s, v in self.values.items()}
         )
 
     def __neg__(self):
-        return GroupRingElement(
-            self.group, self.conductor, {s: -v for s, v in self.values.items()}
-        )
+        return self._build(1, {s: -v for s, v in self.values.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloElement)):
-            n = self.conductor
-            if isinstance(other, CycloElement):
-                n = lcm(n, other.conductor)
-            return GroupRingElement(
-                self.group, n, {s: v * other for s, v in self.values.items()}
-            )
-        if isinstance(other, GroupElement):
-            if other.group != self.group:
-                return NotImplemented
-            return GroupRingElement(
-                self.group,
-                self.conductor,
-                {s * other: v for s, v in self.values.items()},
-            )
-        if not isinstance(other, GroupRingElement) or other.group != self.group:
+            n = getattr(other, "conductor", 1)
+            return self._build(n, {s: v * other for s, v in self.values.items()})
+        if isinstance(other, GroupElement) and other.group is self.group:
+            return self._build(1, {s * other: v for s, v in self.values.items()})
+        if not self._same(other):
             return NotImplemented
         out = {s: CycloElement.zero() for s in self.group.elements()}
         for s, cs in self.values.items():
@@ -139,12 +134,9 @@ class GroupRingElement(_GroupIndexed):
                     continue
                 st = s * t
                 out[st] = out[st] + cs * ct
-        return GroupRingElement(self.group, lcm(self.conductor, other.conductor), out)
+        return self._build(other.conductor, out)
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        return "GroupRingElement(%r, N=%d)" % (self.group, self.conductor)
 
 
 class CharacterVector(_GroupIndexed):
@@ -156,22 +148,17 @@ class CharacterVector(_GroupIndexed):
     _key_noun = "character"
 
     def pointwise_mul(self, other):
-        return CharacterVector(
-            self.group,
-            self.conductor,
-            {chi: self.values[chi] * other.values[chi] for chi in dual_enumerate(self.group)},
+        if not self._same(other):
+            raise TypeError("pointwise_mul needs a CharacterVector over the same group")
+        return self._build(
+            other.conductor, {chi: v * other.values[chi] for chi, v in self.values.items()}
         )
 
     def pointwise_inverse(self):
-        out = {}
         for chi, v in self.values.items():
             if v.is_zero():
                 raise ZeroDivisionError("transform vanishes at %r" % (chi,))
-            out[chi] = v.inverse()
-        return CharacterVector(self.group, self.conductor, out)
-
-    def __repr__(self):
-        return "CharacterVector(%r, N=%d)" % (self.group, self.conductor)
+        return self._build(1, {chi: v.inverse() for chi, v in self.values.items()})
 
 
 def resolvend(a):

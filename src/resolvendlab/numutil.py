@@ -6,12 +6,13 @@ modules agree on conventions (in particular: "the" primitive root mod p is
 the least one).
 """
 
+import operator
 from functools import lru_cache
 
 
 def factorize(n):
     """Prime factorisation of n >= 1 as ((prime, exponent), ...), primes ascending."""
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n should be a positive integer, got %r" % (n,))
     out = []
@@ -48,7 +49,7 @@ def euler_phi(m):
 
 @lru_cache(maxsize=None)
 def is_prime(n):
-    n = int(n)
+    n = operator.index(n)
     return n > 1 and factorize(n) == ((n, 1),)
 
 
@@ -58,7 +59,7 @@ def is_odd_prime(p):
 
 def odd_prime(p):
     """p as an int; the one check that p is an odd prime."""
-    p = int(p)
+    p = operator.index(p)
     if not is_odd_prime(p):
         raise ValueError("need an odd prime, got %d" % p)
     return p

@@ -40,7 +40,7 @@ AT_CAP = _AtCap()
 
 def _precision(precision):
     """precision as an integer M >= 1."""
-    precision = int(precision)
+    precision = operator.index(precision)
     if precision < 1:
         raise ValueError("precision must be >= 1, got %r" % (precision,))
     return precision
@@ -247,7 +247,7 @@ def embed_cyclo(x, p, precision):
             "conductor %d does not divide p(p-1) = %d" % (x.conductor, target)
         )
     y = x.raise_conductor(target)
-    mod = p ** int(precision)
+    mod = p ** operator.index(precision)
     omega = _teichmuller_powers(p, precision)
     # den is the lcm of the reduced coefficient denominators
     if y.den % p == 0:

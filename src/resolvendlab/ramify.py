@@ -10,6 +10,8 @@ inertia orders force a p-power with equal zeroth and first entries.
 
 from __future__ import annotations
 
+import operator
+
 from .numutil import divisor_list, is_prime
 
 
@@ -19,7 +21,7 @@ class RamificationFiltration:
     __slots__ = ("orders",)
 
     def __init__(self, orders):
-        orders = tuple(int(g) for g in orders)
+        orders = tuple(operator.index(g) for g in orders)
         if not orders:
             raise ValueError("a filtration needs at least its zeroth order")
         if orders[-1] != 1:

@@ -203,7 +203,7 @@ def in_S(psi):
 def kappa_twist(u, x):
     """The cyclotomic-unit twist: chi -> chi^u on characters (and virtual
     characters), s -> s^{u^{-1} mod m} on group elements."""
-    u = int(u)
+    u = operator.index(u)
     if isinstance(x, Character):
         _check_unit(u, x.group)
         return x**u
@@ -235,7 +235,7 @@ class EquivariantMap:
         if set(values) != set(elements):
             raise ValueError("values must cover every group element exactly once")
         self.group = group
-        self.twist = int(twist)
+        self.twist = operator.index(twist)
         self.values = dict(values)
 
     def __call__(self, s):
@@ -245,7 +245,7 @@ class EquivariantMap:
         """True when value(s^{u^twist}) = action(u, value(s)) for all given units."""
         m = self.group.exponent
         for u in units:
-            e = pow(int(u), self.twist, m)
+            e = pow(operator.index(u), self.twist, m)
             for s, v in self.values.items():
                 if self.values[s**e] != action(u, v):
                     return False

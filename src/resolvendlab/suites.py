@@ -632,7 +632,10 @@ SUITES = {
 def run(config):
     """Execute the configured suite(s); returns (report dict, exit code).
 
-    Every selected suite checks its config before any row is drawn."""
+    Every selected suite checks its config before any row is drawn, so a
+    ValueError is bad usage only up to that point.  One raised inside a case
+    is a fault and comes back as a RuntimeError, which the CLI does not catch.
+    """
     if config.suite == "all":
         names = sorted(SUITES)
     elif config.suite in SUITES:
@@ -640,7 +643,10 @@ def run(config):
     else:
         raise ValueError("unknown suite %r" % (config.suite,))
     streams = [(name, SUITES[name](config)) for name in names]
-    records = [ReportRecord(name, *row) for name, rows in streams for row in rows]
+    try:
+        records = [ReportRecord(name, *row) for name, rows in streams for row in rows]
+    except ValueError as exc:
+        raise RuntimeError("a case raised %s: %s" % (type(exc).__name__, exc)) from exc
     records.sort(key=lambda r: (r.suite, r.case))
     failed = sum(1 for r in records if not r.passed)
     report = {

@@ -45,7 +45,7 @@ class WildMonomial:
             tag, i = key
             e = operator.index(e)
             if e:
-                k = (int(tag), int(i))
+                k = (operator.index(tag), operator.index(i))
                 acc[k] = acc.get(k, 0) + e
         self.exponents = tuple(sorted((k, e) for k, e in acc.items() if e))
 
@@ -167,7 +167,7 @@ class WildElement(_SparseCombination):
 def c_of(i, p):
     """The representative of i mod p in the symmetric range [(1-p)/2, (p-1)/2]."""
     p = odd_prime(p)
-    c = int(i) % p
+    c = operator.index(i) % p
     if c > (p - 1) // 2:
         c -= p
     return c
@@ -184,7 +184,7 @@ class WildContext:
         self.subgroup = ResidueSubgroup(p, n)
         self.p = p = self.subgroup.p
         self.n = n = self.subgroup.n
-        self.tag = int(tag)
+        self.tag = operator.index(tag)
         self.d = ((p - 1) // n) % p
         assert self.d  # (p-1)/n lies in 1..p-1
         self.d_inv = pow(self.d, -1, p)
@@ -197,18 +197,18 @@ class WildContext:
 
     def character(self, k):
         """The character sending the generator to zeta_p^k."""
-        return self.group.character([int(k) % self.p])
+        return self.group.character([operator.index(k) % self.p])
 
     def summand_monomial(self, k):
         """prod over i in R_n of y_i^{c(i^{-1} k)}."""
-        k = int(k) % self.p
+        k = operator.index(k) % self.p
         return WildMonomial(
             {(self.tag, i): c_of(self._inv[i] * k, self.p) for i in self.subgroup}
         )
 
     def collapse_monomial(self, k):
         """The monomial the k-th character sum must collapse to."""
-        return self.summand_monomial(self.d_inv * (int(k) % self.p))
+        return self.summand_monomial(self.d_inv * operator.index(k))
 
     def __repr__(self):
         if self.tag:
@@ -220,7 +220,7 @@ def tau_action(j, x):
     """j-th power of the generator action: each monomial's coefficient is
     multiplied by zeta_p^{j * weight}."""
     p = x.p
-    j = int(j) % p
+    j = operator.index(j) % p
     if j == 0:
         return x
     out = {}
@@ -234,7 +234,7 @@ def tau_action(j, x):
 
 def omega_monomial(j, mono, p):
     """Index permutation i -> ij mod p on a bare monomial."""
-    j = int(j) % p
+    j = operator.index(j) % p
     if j == 0:
         raise ValueError("omega needs an index prime to p")
     return WildMonomial(tuple(((tag, i * j % p), e) for (tag, i), e in mono.exponents))
@@ -244,7 +244,7 @@ def omega_action(j, x):
     """Permute symbol indices by i -> ij and twist coefficients by the
     Galois map zeta -> zeta^j."""
     p = x.p
-    j = int(j) % p
+    j = operator.index(j) % p
     if j == 0:
         raise ValueError("omega needs an index prime to p")
     out = {}
@@ -266,7 +266,7 @@ def conjugate_check(ctx, j, k):
     p = ctx.p
     elem = WildElement.monomial(p, ctx.summand_monomial(k))
     lhs = tau_action(j, elem)
-    rhs = elem * root_of_unity(p, (int(j) * int(k) * ctx.d) % p)
+    rhs = elem * root_of_unity(p, (operator.index(j) * operator.index(k) * ctx.d) % p)
     return lhs == rhs
 
 
@@ -280,7 +280,7 @@ def resolvent_at(ctx, k):
     is a broken invariant, not a value.
     """
     p = ctx.p
-    k = int(k) % p
+    k = operator.index(k) % p
     alpha = build_alpha(ctx)
     out = {}
     for mono, base in alpha.coeffs.items():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from resolvendlab import suites
 from resolvendlab.cli import build_parser, main
 from resolvendlab.suites import CITATIONS, SUITES, ReportRecord, SuiteConfig, run
 
@@ -80,6 +81,19 @@ def test_every_config_is_checked_before_any_row(monkeypatch):
     monkeypatch.setitem(SUITES, "gauss", fake)
     with pytest.raises(ValueError, match="product size must be positive"):
         run(SuiteConfig(suite="all", product=0))
+
+
+def test_an_error_inside_a_case_is_not_bad_usage(monkeypatch, capsys):
+    # exit 2 belongs to the config checks; a ValueError raised while a row
+    # is drawn is a fault and ends the run with a traceback (exit 1)
+    def broken(r):
+        raise ValueError("kernel bug")
+
+    monkeypatch.setattr(suites, "transform", broken)
+    with pytest.raises(RuntimeError, match="kernel bug") as info:
+        main(["verify", "groupring", "--group", "3", "--trials", "1"])
+    assert type(info.value.__cause__) is ValueError
+    assert capsys.readouterr().err == ""
 
 
 BAD_FLAGS = [

@@ -17,10 +17,31 @@ from resolvendlab.cyclotomic import (
     root_of_unity,
 )
 from resolvendlab.abelian import FiniteAbelianGroup
-from resolvendlab.groupring import GroupMap
-from resolvendlab.numutil import euler_phi
-from resolvendlab.padic import PadicCycloElement
-from resolvendlab.wildsym import WildElement, WildMonomial
+from resolvendlab.gauss import (
+    MultiplicativeCharacter,
+    ResidueSubgroup,
+    character_sum_identity,
+    gauss_sum,
+    gauss_sum_padic,
+    gauss_valuation,
+    verify_translation,
+)
+from resolvendlab.groupring import GroupMap, GroupRingElement
+from resolvendlab.numutil import euler_phi, factorize, is_prime, odd_prime
+from resolvendlab.padic import PadicCycloElement, embed_cyclo, teichmuller
+from resolvendlab.ramify import RamificationFiltration
+from resolvendlab.stickelberger import EquivariantMap, kappa_twist
+from resolvendlab.wildsym import (
+    WildContext,
+    WildElement,
+    WildMonomial,
+    c_of,
+    conjugate_check,
+    omega_action,
+    omega_monomial,
+    resolvent_at,
+    tau_action,
+)
 
 
 def test_cyclotomic_polynomial():
@@ -220,6 +241,68 @@ def test_integer_inputs_reject_non_integers(apply, good, expect):
     # a float or Fraction is refused, never truncated to an integer
     assert apply(good) == expect
     for bad in (0.5, 1.5, Fraction(1, 2), Fraction(1, 3)):
+        with pytest.raises(TypeError):
+            apply(bad)
+
+
+_PHI = MultiplicativeCharacter(11, 5)
+_CTX = WildContext(11, 5)
+_Y1 = WildElement.monomial(11, WildMonomial.symbol(1))
+_TWIST_MAP = EquivariantMap(_G3, 1, {s: 0 for s in _G3.elements()})
+
+# (site, the site applied to an integer parameter); each accepts 7
+_PARAMETER_SITES = [
+    ("cyclo-init", lambda n: CycloElement(n, [0] * 6)),
+    ("cyclo-zero", lambda n: CycloElement.zero(n)),
+    ("cyclo-from-rational", lambda n: CycloElement.from_rational(1, n)),
+    ("cyclo-from-terms", lambda n: root_of_unity(n)),
+    ("cyclo-raise", lambda n: CycloElement.one().raise_conductor(n)),
+    ("cyclo-from-json", lambda n: CycloElement.from_json([n, [[0, 1]] * 6])),
+    ("galois-map", lambda u: galois_map(u, root_of_unity(9))),
+    ("container", lambda n: GroupRingElement.identity(FiniteAbelianGroup([7]), n)),
+    ("factorize", factorize),
+    ("is-prime", is_prime),
+    ("odd-prime", odd_prime),
+    ("layer-n", lambda n: MultiplicativeCharacter(29, n)),
+    ("padic-precision", lambda m: teichmuller(2, 7, m)),
+    ("embed-precision", lambda m: embed_cyclo(root_of_unity(7), 7, m)),
+    ("gauss-sum-j", lambda j: gauss_sum(_PHI, j)),
+    ("gauss-padic-j", lambda j: gauss_sum_padic(_PHI, j, 3)),
+    ("gauss-padic-precision", lambda m: gauss_sum_padic(_PHI, 1, m)),
+    ("translation-j", lambda j: verify_translation(_PHI, j)),
+    ("valuation-j", lambda j: gauss_valuation(_PHI, j, 3)),
+    ("valuation-precision", lambda m: gauss_valuation(_PHI, 1, m)),
+    ("character-sum-j", lambda j: character_sum_identity(_PHI, j)),
+    ("residue-member", lambda k: k in ResidueSubgroup(29, 4)),
+    ("group-factors", lambda d: FiniteAbelianGroup([d])),
+    ("filtration-orders", lambda g: RamificationFiltration([g, 1])),
+    ("kappa-twist", lambda u: kappa_twist(u, FiniteAbelianGroup([9]).element([1]))),
+    ("equivariant-twist", lambda t: EquivariantMap(_G3, t, _TWIST_MAP.values)),
+    ("equivariant-unit", lambda u: _TWIST_MAP.check_equivariance([u], lambda u, v: v)),
+    ("monomial-index", lambda i: WildMonomial.symbol(i)),
+    ("monomial-tag", lambda t: WildMonomial.symbol(1, tag=t)),
+    ("context-tag", lambda t: WildContext(11, 5, tag=t)),
+    ("c-of", lambda i: c_of(i, 11)),
+    ("context-character", lambda k: _CTX.character(k)),
+    ("summand-monomial", lambda k: _CTX.summand_monomial(k)),
+    ("collapse-monomial", lambda k: _CTX.collapse_monomial(k)),
+    ("tau-action", lambda j: tau_action(j, _Y1)),
+    ("omega-monomial", lambda j: omega_monomial(j, WildMonomial.symbol(1), 11)),
+    ("omega-action", lambda j: omega_action(j, _Y1)),
+    ("conjugate-j", lambda j: conjugate_check(_CTX, j, 1)),
+    ("conjugate-k", lambda k: conjugate_check(_CTX, 1, k)),
+    ("resolvent-at", lambda k: resolvent_at(_CTX, k)),
+]
+
+
+@pytest.mark.parametrize(
+    "apply", [s[1] for s in _PARAMETER_SITES], ids=[s[0] for s in _PARAMETER_SITES]
+)
+def test_integer_parameters_reject_non_integers(apply):
+    # every integer parameter goes through operator.index, so a value near
+    # 7 is refused where int() would have truncated it to 7
+    apply(7)
+    for bad in (7.5, Fraction(15, 2)):
         with pytest.raises(TypeError):
             apply(bad)
 

@@ -255,3 +255,27 @@ def test_scalar_of_another_conductor_mul():
         assert product.conductor == 15
         assert product(g.identity()) == zeta5
         assert all(product(s).is_zero() for s in g.elements() if not s.is_identity())
+
+
+def test_pointwise_mul_lives_over_the_lcm_conductor():
+    # Eq. (iden1) across conductors: both orders of the pointwise product
+    # are the transform of the group-ring product, over Q(zeta_15)
+    g = FiniteAbelianGroup([3])
+    a = GroupRingElement.identity(g, 3)
+    b = a * root_of_unity(5)
+    expect = transform(a * b)
+    assert expect.conductor == 15
+    assert transform(a).pointwise_mul(transform(b)) == expect
+    assert transform(b).pointwise_mul(transform(a)) == expect
+    other = transform(GroupRingElement.identity(FiniteAbelianGroup([9]), 9))
+    for bad in (a, other):
+        with pytest.raises(TypeError):
+            transform(a).pointwise_mul(bad)
+
+
+def test_containers_share_one_repr():
+    g = FiniteAbelianGroup([3])
+    a = GroupMap.indicator(g, 6, g.identity())
+    assert repr(a) == "GroupMap(FiniteAbelianGroup(3), N=6)"
+    assert repr(resolvend(a)) == "GroupRingElement(FiniteAbelianGroup(3), N=6)"
+    assert repr(transform(resolvend(a))) == "CharacterVector(FiniteAbelianGroup(3), N=6)"

@@ -48,6 +48,9 @@ _TRANSFORM = "tests/test_groupring.py::test_transform_of_group_element_is_charac
 _INVERSE = "tests/test_groupring.py::test_inverse_transform_examples"
 _ROUNDTRIP = "tests/test_groupring.py::test_transform_roundtrip"
 _KEYS = "tests/test_groupring.py::test_containers_reject_the_other_key_domain"
+_SCALAR_LCM = "tests/test_groupring.py::test_scalar_of_another_conductor_mul"
+_POINTWISE_LCM = "tests/test_groupring.py::test_pointwise_mul_lives_over_the_lcm_conductor"
+_CONVOLUTION = "tests/test_groupring.py::test_convolution_diagonalization"
 _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
 _ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
@@ -162,6 +165,20 @@ MUTANTS = (
         "_keys = staticmethod(dual_enumerate)",
         "_keys = staticmethod(FiniteAbelianGroup.elements)",
         (_KEYS, _INVERSE),
+    ),
+    Mutant(
+        "container-conductor-dropped",
+        "groupring.py",
+        "lcm(self.conductor, conductor)",
+        "self.conductor",
+        (_POINTWISE_LCM, _SCALAR_LCM),
+    ),
+    Mutant(
+        "ring-product-slot-inverted",
+        "groupring.py",
+        "st = s * t",
+        "st = s * t.inverse()",
+        (_CONVOLUTION,),
     ),
     Mutant(
         "runner-one-suite-stamp",
