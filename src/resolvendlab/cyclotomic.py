@@ -15,9 +15,9 @@ conductors in the low thousands stay cheap.  _reduce is the one reduction
 mod Phi_m: it takes integer terms (c, e), of a sum of roots of unity or of
 a product, buckets the exponents mod m (x^m = 1) and adds one cached sparse
 row x^k mod Phi_m per bucket k >= phi(m); there is no second reduction
-loop.  The same product and reduction serve Z_p[zeta_p] (padic); the
-square-and-multiply helper serves padic and the packed gauss power sums in
-Z[y]/(y^{pn} - 1) as well.  Inverses are the product of the other Galois
+loop.  _pack/_unpack are the one fixed-width slot packing, shared by the
+packed product, the padic product and pi-digits and the gauss power sums in
+Z[y]/(y^{pn} - 1), as is _power.  Inverses are the product of the other Galois
 conjugates over the rational norm, so no arithmetic here works on Fraction
 polynomials.
 """
@@ -66,6 +66,17 @@ def _polymul_int_school(a, b):
     return out
 
 
+def _pack(vec, nbytes):
+    """vec, each entry in [0, 2^(8 nbytes)), in little-endian slots of one int."""
+    return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in vec), "little")
+
+
+def _unpack(x, length, nbytes):
+    """The length slots of nbytes bytes of x >= 0, low slot first."""
+    raw = x.to_bytes(length * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+
+
 def _polymul_int(a, b):
     """Product of two integer coefficient vectors (low degree first).
 
@@ -78,27 +89,16 @@ def _polymul_int(a, b):
         return []
     if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
         return _polymul_int_school(a, b)
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    if ma == 0 or mb == 0:
-        return [0] * (len(a) + len(b) - 1)
-    bound = ma * mb * min(len(a), len(b))
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     nbytes = bound.bit_length() // 8 + 1  # 2^(8*nbytes - 1) > bound
-    width = 8 * nbytes
-    half = 1 << (width - 1)
-    offs = half.to_bytes(nbytes, "little")
+    half = 1 << (8 * nbytes - 1)
 
-    def pack(vec):
-        buf = b"".join((c + half).to_bytes(nbytes, "little") for c in vec)
-        return int.from_bytes(buf, "little") - int.from_bytes(offs * len(vec), "little")
+    def pack(vec):  # the signed digits, each offset by half and the offsets taken back
+        return _pack([c + half for c in vec], nbytes) - _pack([half] * len(vec), nbytes)
 
     n = len(a) + len(b) - 1
-    x = pack(a) * pack(b) + int.from_bytes(offs * n, "little")
-    raw = x.to_bytes(n * nbytes, "little")
-    return [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") - half
-        for i in range(n)
-    ]
+    x = pack(a) * pack(b) + _pack([half] * n, nbytes)
+    return [c - half for c in _unpack(x, n, nbytes)]
 
 
 def _polydiv_exact(num, den):

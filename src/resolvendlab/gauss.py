@@ -15,7 +15,7 @@ import operator
 from functools import lru_cache
 from itertools import count
 
-from .cyclotomic import CycloElement, _power, root_of_unity
+from .cyclotomic import CycloElement, _pack, _power, _reduce, _unpack, root_of_unity
 from .numutil import discrete_log_table, least_primitive_root, odd_prime
 from .padic import (
     AT_CAP,
@@ -127,14 +127,15 @@ def _gauss_cyclo_exponent(p, t, j):
 
 @lru_cache(maxsize=None)
 def _gauss_padic(p, n, j, precision):
+    """G(phi, j) = sum_r phi(rho^r) eta_r from the Gaussian periods eta_r, the
+    sums of zeta^{jk} over the coset of k = rho^a, a = r mod n, of the n-th powers."""
     acc = PadicCycloElement.zero(p, precision)
     rho = least_primitive_root(p)
-    dlog = discrete_log_table(p)
-    step = (p - 1) // n
-    for k in range(1, p):
-        t = (dlog[k] * step) % (p - 1)
-        w = teichmuller(pow(rho, t, p), p, precision)
-        acc = acc + w * PadicCycloElement.zeta_power(p, precision, (j * k) % p)
+    powers = [pow(rho, a, p) for a in range(p - 1)]
+    for r in range(n):
+        w = teichmuller(powers[r * (p - 1) // n], p, precision)
+        eta = PadicCycloElement(p, precision, _reduce(p, ((1, j * k) for k in powers[r::n])))
+        acc = acc + w * eta
     return acc
 
 
@@ -234,12 +235,13 @@ def _cyclic_power(vec, k):
     def width(e):
         return (mass**e).bit_length() // 8 + 1
 
-    def widen(x, nbytes, to):
+    def widen(x, nbytes, to):  # byte i of every slot moves by one strided copy
         if nbytes == to:
             return x
-        raw = x.to_bytes(L * nbytes, "little")
-        slots = [raw[i : i + nbytes] for i in range(0, L * nbytes, nbytes)]
-        return int.from_bytes(bytes(to - nbytes).join(slots), "little")
+        raw, out = x.to_bytes(L * nbytes, "little"), bytearray(L * to)
+        for i in range(nbytes):
+            out[i::to] = raw[i::nbytes]
+        return int.from_bytes(out, "little")
 
     def mul(a, b):  # (packed int, slot bytes, exponent) triples
         e = a[2] + b[2]
@@ -250,10 +252,8 @@ def _cyclic_power(vec, k):
         return (z & ((1 << bits) - 1)) + (z >> bits), nbytes, e
 
     nbytes = width(1)
-    packed = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in vec), "little")
-    packed, nbytes, _ = _power((packed, nbytes, 1), k, mul)
-    raw = packed.to_bytes(L * nbytes, "little")
-    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, L * nbytes, nbytes)]
+    packed, nbytes, _ = _power((_pack(vec, nbytes), nbytes, 1), k, mul)
+    return _unpack(packed, L, nbytes)
 
 
 def power_sum_S(phi):

@@ -92,6 +92,8 @@ class _GroupIndexed:
 class GroupMap(_GroupIndexed):
     """A map a: G -> Q(zeta_N), the object resolvends are built from."""
 
+    __slots__ = ()
+
     @classmethod
     def indicator(cls, group, conductor, s0):
         return cls.from_function(group, conductor, lambda s: int(s == s0))
@@ -99,6 +101,8 @@ class GroupMap(_GroupIndexed):
 
 class GroupRingElement(_GroupIndexed):
     """Element sum_s c_s s of the group ring Q(zeta_N)[G]."""
+
+    __slots__ = ()
 
     @classmethod
     def identity(cls, group, conductor):

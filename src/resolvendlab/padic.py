@@ -2,20 +2,20 @@
 
 The ring of integers of the totally ramified degree p-1 extension
 Q_p(zeta_p) is a free Z_p-module on 1, zeta, ..., zeta^{p-2}.  An element
-here is that coefficient vector over Z/p^M.  Since the uniformizer
-pi = zeta - 1 satisfies (pi^{p-1}) = (p), working coefficient-wise mod p^M
-is exact arithmetic mod pi^{(p-1)M}; valuations strictly below that cap are
-exact, anything at or above it is reported as AT_CAP.
+here is that coefficient vector over Z/p^M.  Since pi = zeta - 1 satisfies
+(pi^{p-1}) = (p), coefficient-wise arithmetic mod p^M is exact mod
+pi^{(p-1)M}; valuations below that cap are exact, those at or above it are
+AT_CAP.  Products (folded mod x^p - 1) and pi-digits (a Taylor shift at
+2^w + 1) are one pass each over a big integer packed by cyclotomic._pack;
+only zeta_power and embed_cyclo use cyclotomic._reduce.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import count
-from math import comb
 
-from .cyclotomic import _polymul_int, _power, _reduce
+from .cyclotomic import _pack, _power, _reduce, _unpack
 from .numutil import least_primitive_root, odd_prime
 
 
@@ -79,9 +79,7 @@ class PadicCycloElement:
 
     @classmethod
     def from_int(cls, value, p, precision):
-        coeffs = [0] * (p - 1)
-        coeffs[0] = operator.index(value)
-        return cls(p, precision, coeffs)
+        return cls(p, precision, [operator.index(value)] + [0] * (p - 2))
 
     @classmethod
     def one(cls, p, precision):
@@ -119,13 +117,21 @@ class PadicCycloElement:
         return (-self) + other
 
     def __mul__(self, other):
+        """One packed product, folded mod x^p - 1 inside the big integer.  A
+        column of either sum holds at most p - 1 products of residues mod p^M,
+        so slots of w bits with 2^w > (p-1)(p^M-1)^2 never carry."""
         if isinstance(other, int):
             return _make(self.p, self.precision, self.modulus, [c * other for c in self.coeffs])
         if not isinstance(other, PadicCycloElement):
             return NotImplemented
         self._check(other)
-        prod = _reduce(self.p, zip(_polymul_int(self.coeffs, other.coeffs), count()))
-        return _make(self.p, self.precision, self.modulus, prod)
+        nbytes = ((self.p - 1) * (self.modulus - 1) ** 2).bit_length() // 8 + 1
+        x = _pack(self.coeffs, nbytes)
+        z = x * x if other is self else x * _pack(other.coeffs, nbytes)
+        bits = 8 * nbytes * self.p
+        z = (z & ((1 << bits) - 1)) + (z >> bits)  # x^p = 1
+        *low, top = _unpack(z, self.p, nbytes)  # x^{p-1} = -(1 + x + ... + x^{p-2})
+        return _make(self.p, self.precision, self.modulus, [c - top for c in low])
 
     __rmul__ = __mul__
 
@@ -148,12 +154,14 @@ class PadicCycloElement:
 
     def pi_digits(self):
         """Coefficients b_k of x = sum b_k pi^k (k < p-1) mod p^M, from the
-        binomial change of basis zeta^i = (1 + pi)^i."""
-        mod = self.modulus
-        return tuple(
-            sum(comb(i, k) * self.coeffs[i] for i in range(k, self.p - 1)) % mod
-            for k in range(self.p - 1)
-        )
+        binomial change of basis zeta^i = (1 + pi)^i: b_k = sum_i C(i, k) c_i
+        is the Taylor shift f(1 + y), read off f(1 + 2^w) by Horner.  Each b_k
+        < (p^M - 1) C(p-1, k+1) < (p^M - 1) 2^(p-1) < 2^w, so no slot carries."""
+        nbytes = ((self.modulus - 1) << (self.p - 1)).bit_length() // 8 + 1
+        acc, w = 0, 8 * nbytes
+        for c in reversed(self.coeffs):
+            acc = (acc << w) + acc + c
+        return tuple(b % self.modulus for b in _unpack(acc, self.p - 1, nbytes))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -208,17 +216,15 @@ def pi_valuation(x):
     digit vanished, i.e. v(x) >= (p-1)*M.
     """
     p = x.p
-    best = None
+    vals = []
     for k, b in enumerate(x.pi_digits()):
         if b:
             vp = 0
             while b % p == 0:
                 b //= p
                 vp += 1
-            v = (p - 1) * vp + k
-            if best is None or v < best:
-                best = v
-    return AT_CAP if best is None else best
+            vals.append((p - 1) * vp + k)
+    return min(vals, default=AT_CAP)
 
 
 @lru_cache(maxsize=256)

@@ -279,3 +279,13 @@ def test_containers_share_one_repr():
     assert repr(a) == "GroupMap(FiniteAbelianGroup(3), N=6)"
     assert repr(resolvend(a)) == "GroupRingElement(FiniteAbelianGroup(3), N=6)"
     assert repr(transform(resolvend(a))) == "CharacterVector(FiniteAbelianGroup(3), N=6)"
+
+
+def test_containers_carry_no_instance_dict():
+    # every _GroupIndexed subclass declares __slots__, so instances hold only
+    # the group, conductor and values slots
+    g = FiniteAbelianGroup([3])
+    a = GroupMap.indicator(g, 6, g.identity())
+    r = resolvend(a)
+    for x in (a, r, GroupRingElement.identity(g, 3), transform(r), r + r, r * r):
+        assert not hasattr(x, "__dict__"), type(x).__name__

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvendlab.cyclotomic import CycloElement, root_of_unity
+from resolvendlab.cyclotomic import CycloElement, _pack, _unpack, root_of_unity
 from resolvendlab.numutil import divisor_list, euler_phi, least_primitive_root
 from resolvendlab.padic import (
     AT_CAP,
@@ -202,7 +203,6 @@ def _schoolbook_mul(p, a, b):
 
 @st.composite
 def _padic_pair(draw):
-    # p = 47 has (p - 1)^2 above the schoolbook cutoff, so it runs the packed path
     p = draw(st.sampled_from((3, 5, 31, 47)))
     M = draw(st.integers(min_value=1, max_value=6))
     vec = st.lists(st.integers(0, p**M - 1), min_size=p - 1, max_size=p - 1)
@@ -262,3 +262,52 @@ def _random_p_cyclo(rng, p):
         p,
         [Fraction(rng.randrange(-9, 10), rng.choice(dens)) for _ in range(p - 1)],
     )
+
+
+def _pi_digits_reference(x):
+    """b_k = sum_i C(i, k) c_i mod p^M, from zeta^i = (1 + pi)^i term by term."""
+    return tuple(
+        sum(comb(i, k) * x.coeffs[i] for i in range(k, x.p - 1)) % x.modulus
+        for k in range(x.p - 1)
+    )
+
+
+def _kernel_operands(p, M):
+    # zero, the all-(p^M - 1) vector that fills the widest slots, and randoms
+    mod = p**M
+    rng = random.Random("kernels-%d-%d" % (p, M))
+    vecs = [[0] * (p - 1), [mod - 1] * (p - 1), [mod - 1] + [0] * (p - 2)]
+    vecs += [[rng.randrange(mod) for _ in range(p - 1)] for _ in range(4)]
+    return [PadicCycloElement(p, M, v) for v in vecs]
+
+
+_KERNEL_CASES = [(p, M) for p in (3, 5, 31, 47, 59) for M in (1, 6)]
+
+
+@pytest.mark.parametrize("p, M", _KERNEL_CASES)
+def test_pi_digits_match_binomial_reference(p, M):
+    for x in _kernel_operands(p, M):
+        assert x.pi_digits() == _pi_digits_reference(x)
+
+
+@pytest.mark.parametrize("p, M", _KERNEL_CASES)
+def test_packed_product_matches_schoolbook(p, M):
+    mod = p**M
+    xs = _kernel_operands(p, M)
+    for x in xs:
+        square = tuple(c % mod for c in _schoolbook_mul(p, x.coeffs, x.coeffs))
+        assert (x * x).coeffs == square  # one packed operand, squared
+        assert (x * PadicCycloElement(p, M, x.coeffs)).coeffs == square
+        for y in xs:
+            assert (x * y).coeffs == tuple(c % mod for c in _schoolbook_mul(p, x.coeffs, y.coeffs))
+
+
+@pytest.mark.parametrize("nbytes", range(1, 13))
+def test_pack_unpack_round_trip(nbytes):
+    rng = random.Random(nbytes)
+    top = 256**nbytes - 1
+    for length in (1, 2, 7, 40):
+        vec = [rng.randrange(top + 1) for _ in range(length)]
+        vec[0], vec[-1] = top, 0  # a full low slot and an empty high slot
+        assert _unpack(_pack(vec, nbytes), length, nbytes) == vec
+    assert _pack([], nbytes) == 0 and _unpack(0, 3, nbytes) == [0, 0, 0]

@@ -41,6 +41,8 @@ _FROM_TERMS = "tests/test_cyclotomic.py::test_from_terms_and_mul_root"
 _ROOTS = "tests/test_cyclotomic.py::test_root_of_unity_basics"
 _PADIC_MUL = "tests/test_padic.py::test_mul_and_pow_match_schoolbook"
 _PADIC_RING = "tests/test_padic.py::test_ring_axioms_random"
+_PACKED_MUL = "tests/test_padic.py::test_packed_product_matches_schoolbook"
+_PI_DIGITS = "tests/test_padic.py::test_pi_digits_match_binomial_reference"
 _HAND_FOLD = "tests/test_padic.py::test_zeta_power_and_embedding_match_hand_fold"
 _EMBED = "tests/test_padic.py::test_embed_cyclo"
 _COHERENCE = "tests/test_gauss.py::test_backend_coherence"
@@ -109,6 +111,34 @@ MUTANTS = (
         "x.coeffs = tuple(c % modulus for c in coeffs)",
         "x.coeffs = tuple(coeffs)",
         (_PADIC_MUL, _PADIC_RING),
+    ),
+    Mutant(
+        "padic-fold-dropped",
+        "padic.py",
+        "z = (z & ((1 << bits) - 1)) + (z >> bits)",
+        "z = z & ((1 << bits) - 1)",
+        (_PACKED_MUL,),
+    ),
+    Mutant(
+        "padic-top-kept",
+        "padic.py",
+        "[c - top for c in low]",
+        "low",
+        (_PACKED_MUL,),
+    ),
+    Mutant(
+        "pi-digits-shift-at-B",
+        "padic.py",
+        "acc = (acc << w) + acc + c",
+        "acc = (acc << w) + c",
+        (_PI_DIGITS,),
+    ),
+    Mutant(
+        "pi-digits-slot-short",
+        "padic.py",
+        "<< (self.p - 1)).bit_length() // 8 + 1",
+        "<< (self.p - 1)).bit_length() // 8",
+        (_PI_DIGITS,),
     ),
     Mutant(
         "embed-slot-sign-dropped",
