@@ -17,7 +17,7 @@ a product, buckets the exponents mod m (x^m = 1) and adds one cached sparse
 row x^k mod Phi_m per bucket k >= phi(m); there is no second reduction
 loop.  _pack/_unpack are the one fixed-width slot packing, shared by the
 packed product, the padic product and pi-digits and the gauss power sums in
-Z[y]/(y^{pn} - 1), as is _power.  Inverses are the product of the other Galois
+Z[y]/(Phi_n(y^p)), as is _power.  Inverses are the product of the other Galois
 conjugates over the rational norm, so no arithmetic here works on Fraction
 polynomials.
 """

@@ -7,6 +7,14 @@ the same sum inside truncated Z_p[zeta_p] with phi valued in Teichmuller
 lifts, which is what exposes the pi-adic valuation.  Both backends pin the
 character by its value on the least primitive root, so they name the same
 object and can be compared digit by digit after embedding.
+
+power_sum_S takes the n-th powers G(phi, j)^n in R = Z[y]/(Phi_n(y^p)),
+y = zeta_{pn}, which has p phi(n) coefficients.  Phi_{pn}(y) divides
+Phi_n(y^p) = Phi_{pn}(y) Phi_n(y) because p does not divide n, so reducing
+mod Phi_{pn} afterwards gives the same canonical elements as powers taken
+in Z[y]/(y^{pn} - 1).  The powers stay packed in one big integer; before
+each product the slot width is chosen from the operands' own widest slots,
+read off their byte planes, so that no slot of the reduced product wraps.
 """
 
 from __future__ import annotations
@@ -15,8 +23,16 @@ import operator
 from functools import lru_cache
 from itertools import count
 
-from .cyclotomic import CycloElement, _pack, _power, _reduce, _unpack, root_of_unity
-from .numutil import discrete_log_table, least_primitive_root, odd_prime
+from .cyclotomic import (
+    CycloElement,
+    _pack,
+    _power,
+    _reduce,
+    _reduction_rows,
+    _unpack,
+    root_of_unity,
+)
+from .numutil import discrete_log_table, euler_phi, least_primitive_root, odd_prime
 from .padic import (
     AT_CAP,
     PadicCycloElement,
@@ -219,41 +235,124 @@ def character_sum_identity(phi, j):
     return lhs == rhs
 
 
-def _cyclic_power(vec, k):
-    """vec ** k in Z[y]/(y^L - 1), L = len(vec), for a non-negative integer
-    vector vec and k >= 1.
+_FLIP = bytes(b ^ 0x80 for b in range(256))  # top byte: offset slot <-> two's complement
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))  # a byte -> its sign byte
 
-    The vector stays packed in one big integer at y = 2^(8 * slot bytes)
-    from the first product to the last.  Every coefficient of a power of
-    exponent e is at most sum(vec)^e, so before each product the slots are
-    widened to hold that bound with the top bit clear: no slot carries, and
-    the cyclic fold y^L = 1 is one mask, one shift and one add.
+
+def _offsets(length, nbytes):
+    """2^(8 nbytes - 1) in each of length slots: a packed signed value plus
+    this is its offset form, every slot c + 2^(8 nbytes - 1) >= 0."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * length, "little")
+
+
+def _planes(raw, nbytes):
+    """Byte k of every slot of raw, for k < nbytes, in two's complement.
+
+    raw is an offset form: slot c + 2^(8 nbytes - 1) differs from the two's
+    complement of c in the top bit of the top byte alone.
+    """
+    planes = [raw[k::nbytes] for k in range(nbytes)]
+    planes[-1] = planes[-1].translate(_FLIP)
+    return planes
+
+
+def _signed_bits(planes):
+    """The least b with every slot c of the two's-complement planes in
+    [-2^(b-1), 2^(b-1)).
+
+    From the top down, planes equal to the sign plane hold no bits.  In the
+    first plane that does not, a slot's byte XOR its sign byte is the top
+    byte of |c| or of -c - 1, so the largest such byte gives b.
+    """
+    sign = planes[-1].translate(_SIGN)
+    w = len(planes)
+    while w > 1 and planes[w - 1] == sign:
+        w -= 1
+    top = int.from_bytes(planes[w - 1], "little") ^ int.from_bytes(sign, "little")
+    return 8 * (w - 1) + max(top.to_bytes(len(sign), "little")).bit_length() + 1
+
+
+@lru_cache(maxsize=None)
+def _block_rows(n):
+    """Y^q mod Phi_n(Y) for phi(n) <= q < 2 phi(n), read by output digit.
+
+    Entry i lists the (q, r), r != 0, with r the coefficient of Y^i in
+    Y^q; with it comes C = 1 + the largest l1 norm of an entry, so one block
+    reduction grows a slot by at most the factor C.
+    """
+    phi = euler_phi(n)
+    cols = [[] for _ in range(phi)]
+    for q in range(phi, 2 * phi):
+        for i, r in enumerate(_reduce(n, ((1, q),))):
+            if r:
+                cols[i].append((q, r))
+    return tuple(map(tuple, cols)), 1 + max(sum(abs(r) for _, r in col) for col in cols)
+
+
+def _ring_power(vec, p, n, k):
+    """vec ** k in R = Z[y]/(Phi_n(y^p)), p prime to n, for the p phi(n)
+    integer coefficients vec of 1, y, y^2, ... and k >= 1.
+
+    An element stays packed from the first product to the last, as its
+    offset form: slot e is the coefficient of y^e plus 2^(8w-1), in w bytes.
+    A product packs both signed operands at width w and multiplies once.
+    Its 2 phi(n) blocks of p slots are the digits B_q of Y = y^p, read off
+    the offset bytes of the product, and digit i of the result is
+    D_i = B_i + sum_q r_{q,i} B_q over the rows Y^q mod Phi_n, q >= phi(n).
+    With every operand slot in [-2^(a-1), 2^(a-1)) and [-2^(b-1), 2^(b-1)),
+    every slot of D is at most 2^(a-1) 2^(b-1) p phi(n) C (C from
+    _block_rows), and w is the least width with 2^(8w-1) above that, so no
+    slot wraps.  a and b are read off the byte planes of the operands, and
+    rewidening is a strided copy of the planes that hold bits with the sign
+    plane filled in above them.
     """
     L = len(vec)
-    mass = sum(vec)
+    phi = L // p
+    cols, C = _block_rows(n)
+    scale = L * C
 
-    def width(e):
-        return (mass**e).bit_length() // 8 + 1
+    def signed(planes, a, w):  # the packed signed value at slot width w >= a
+        out = bytearray(L * w)
+        for i in range(a):
+            out[i::w] = planes[i]
+        sign = planes[-1].translate(_SIGN)
+        for i in range(a, w):
+            out[i::w] = sign
+        out[w - 1 :: w] = out[w - 1 :: w].translate(_FLIP)
+        return int.from_bytes(out, "little") - _offsets(L, w)
 
-    def widen(x, nbytes, to):  # byte i of every slot moves by one strided copy
-        if nbytes == to:
-            return x
-        raw, out = x.to_bytes(L * nbytes, "little"), bytearray(L * to)
-        for i in range(nbytes):
-            out[i::to] = raw[i::nbytes]
-        return int.from_bytes(out, "little")
+    def mul(a, b):  # (offset bytes, slot bytes) pairs
+        pa = _planes(*a)
+        pb = pa if a is b else _planes(*b)
+        ba = _signed_bits(pa)
+        bb = ba if a is b else _signed_bits(pb)
+        w = (scale << (ba + bb - 2)).bit_length() // 8 + 1
+        x = signed(pa, (ba + 7) // 8, w)
+        z = x * x if a is b else x * signed(pb, (bb + 7) // 8, w)
+        size = p * w
+        raw = (z + _offsets(2 * L, w)).to_bytes(2 * L * w, "little")
+        half = _offsets(p, w)
+        high = [
+            int.from_bytes(raw[q * size : (q + 1) * size], "little") - half
+            for q in range(phi, 2 * phi)
+        ]
+        out = []
+        for i, col in enumerate(cols):
+            block = raw[i * size : (i + 1) * size]
+            if col:  # the offset digit B_i + half, plus the signed high digits
+                d = int.from_bytes(block, "little")
+                for q, r in col:
+                    d += r * high[q - phi]
+                block = d.to_bytes(size, "little")
+            out.append(block)
+        return b"".join(out), w
 
-    def mul(a, b):  # (packed int, slot bytes, exponent) triples
-        e = a[2] + b[2]
-        nbytes = width(e)
-        bits = 8 * nbytes * L
-        x = widen(a[0], a[1], nbytes)
-        z = x * x if a is b else x * widen(b[0], b[1], nbytes)
-        return (z & ((1 << bits) - 1)) + (z >> bits), nbytes, e
-
-    nbytes = width(1)
-    packed, nbytes, _ = _power((_pack(vec, nbytes), nbytes, 1), k, mul)
-    return _unpack(packed, L, nbytes)
+    w = max(map(abs, vec)).bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)
+    raw = _pack([c + half for c in vec], w).to_bytes(L * w, "little")
+    raw, w = _power((raw, w), k, mul)
+    half = 1 << (8 * w - 1)
+    return [c - half for c in _unpack(int.from_bytes(raw, "little"), L, w)]
 
 
 def power_sum_S(phi):
@@ -265,31 +364,41 @@ def power_sum_S(phi):
     pi-valuation at least p - 1.
 
     Every exponent of G(phi, j) at m = p(p-1) is a multiple of
-    step = (p-1)/n, so the j-th powers are taken in the short ring
-    Z[y]/(y^{pn} - 1) with y = zeta_m^step = zeta_{pn}, where G(phi, j) is a
-    0/1 vector of p - 1 ones.  A power of exponent e then has coefficients at
-    most (p-1)^e, which sets the packed slot width of `_cyclic_power`.  Both
-    sums are reduced and compared at conductor pn; only S is raised to m.
+    step = (p-1)/n, so G(phi, j) is a sum of p - 1 powers of
+    y = zeta_m^step = zeta_{pn}.  The n-th powers are taken in
+    R = Z[y]/(Phi_n(y^p)), which has p phi(n) coefficients where
+    Z[y]/(y^{pn} - 1) has pn: there y^e = Y^q y^i with Y = y^p,
+    e = pq + i, i < p, and Y^q is reduced mod Phi_n.  As p does not divide
+    n, Phi_n(y^p) = Phi_{pn}(y) Phi_n(y), so Phi_{pn} divides Phi_n(y^p)
+    and reducing an element of R mod Phi_{pn} gives its value at
+    zeta_{pn}.  Both sums are reduced and compared at conductor pn; only S
+    is raised to m.  `_ring_power` sizes its packed slots from the data.
     """
     p, n = phi.p, phi.n
     if n == 1:
         raise ValueError("power sum concerns nontrivial characters")
     m = p * (p - 1)
-    L = p * n
+    phin = euler_phi(n)
+    rows = _reduction_rows(n)
     dlog = discrete_log_table(p)
-    svec = [0] * L
+    svec = [0] * (p * phin)
     base_pow = None
     for j in range(1, p):
-        # phi(k) zeta_p^{jk} = zeta_{pn}^{p (dlog k mod n) + n (jk mod p)}
-        vec = [0] * L
+        # phi(k) zeta_p^{jk} = y^e, e = p (dlog k mod n) + n (jk mod p) mod pn
+        vec = [0] * (p * phin)
         for k in range(1, p):
-            vec[(p * (dlog[k] % n) + n * (j * k % p)) % L] += 1
-        powed = _cyclic_power(vec, n)
+            q, i = divmod((p * (dlog[k] % n) + n * (j * k % p)) % (p * n), p)
+            if q < phin:
+                vec[p * q + i] += 1
+            else:
+                for r, c in rows[q - phin]:
+                    vec[p * r + i] += c
+        powed = _ring_power(vec, p, n, n)
         if j == 1:
             base_pow = powed
         svec = [a + b for a, b in zip(svec, powed)]
-    S = CycloElement.from_terms(L, zip(svec, count()))
-    exact = S == CycloElement.from_terms(L, zip([(p - 1) * c for c in base_pow], count()))
+    S = CycloElement.from_terms(p * n, zip(svec, count()))
+    exact = S == CycloElement.from_terms(p * n, zip([(p - 1) * c for c in base_pow], count()))
     S = S.raise_conductor(m)
     v = pi_valuation(embed_cyclo(S, p, _MIN_VALUATION_PRECISION))
     bounded = v is AT_CAP or v >= p - 1

@@ -192,7 +192,8 @@ def _gauss_rows(p, n, precision, deep, coherent):
     bound = (p - 1) // n
     for j in range(1, p):
         v = gauss_valuation(phi, j, precision)
-        ok = v >= bound and (n != 2 or v == bound)
+        # Prop 4.6's bound, and Stickelberger's exact value for phi = omega^((p-1)/n)
+        ok = v >= bound and v * n == (p - 1) * (n - 1)
         yield "valuation:p%d:n%d:j%d" % (p, n, j), "Prop 4.6", ok, {
             "p": p,
             "n": n,

@@ -275,8 +275,19 @@ def test_gauss_n_filter(capsys):
         ("verify stickelberger --format json", "9bdfc0c9ced4e05232c99b61181a3731"),
         # the largest phi in the suite: 336, at conductor 812
         ("verify gauss --p 29 --format json", "5cd7c2a33dfe6bb3ba8897a28b3d9082"),
+        # a prime order n = 11, where Z[y]/(Phi_n(y^p)) is barely shorter
+        # than Z[y]/(y^{pn} - 1)
+        ("verify gauss --p 23 --format json", "139c0350aa673f38a9d9965211012373"),
     ],
-    ids=["groupring", "gauss", "wild", "gauss-p31-n30", "stickelberger", "gauss-p29"],
+    ids=[
+        "groupring",
+        "gauss",
+        "wild",
+        "gauss-p31-n30",
+        "stickelberger",
+        "gauss-p29",
+        "gauss-p23",
+    ],
 )
 def test_report_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvendlab import gauss
-from resolvendlab.cyclotomic import CycloElement, root_of_unity
+from resolvendlab import gauss, suites
+from resolvendlab.cyclotomic import CycloElement, _pack, cyclotomic_polynomial, root_of_unity
 from resolvendlab.gauss import (
     MultiplicativeCharacter,
     ResidueSubgroup,
-    _cyclic_power,
+    _planes,
+    _ring_power,
+    _signed_bits,
     backend_coherence,
     character_sum_identity,
     gauss_sum,
@@ -16,6 +18,7 @@ from resolvendlab.gauss import (
     power_sum_S,
     verify_translation,
 )
+from resolvendlab.numutil import euler_phi
 from resolvendlab.padic import PrecisionError
 from resolvendlab.suites import SuiteConfig, run
 from resolvendlab.wildsym import WildContext
@@ -118,6 +121,17 @@ def test_valuation_below_bound_is_a_fail_record(monkeypatch):
     assert valuations and all(r["witness"]["valuation"] == 0 for r in valuations)
 
 
+def test_valuation_at_the_bound_fails_above_n2(monkeypatch):
+    # (p-1)/n meets Prop 4.6's bound, but Stickelberger's value is
+    # (p-1)(n-1)/n, which differs from it once n > 2
+    monkeypatch.setattr(suites, "gauss_valuation", lambda phi, j, M: (phi.p - 1) // phi.n)
+    report, code = run(SuiteConfig(suite="gauss", p=7))
+    assert code == 1
+    valuations = [r for r in report["records"] if r["case"].startswith("valuation:")]
+    assert {r["witness"]["n"] for r in valuations} == {2, 3, 6}
+    assert all(r["pass"] == (r["witness"]["n"] == 2) for r in valuations)
+
+
 def test_character_sum_identity():
     for p, n in [(5, 2), (7, 3), (7, 6), (11, 5), (13, 4)]:
         phi = MultiplicativeCharacter(p, n)
@@ -166,18 +180,69 @@ def _school_cyclic_mul(a, b):
     return out
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    st.integers(min_value=1, max_value=40).flatmap(
-        lambda L: st.lists(st.integers(0, 300), min_size=L, max_size=L)
-    )
+def _school_ring_mul(a, b, p, n):
+    # a * b mod Phi_n(y^p): the full product, then long division by the
+    # monic Phi_n(y^p), highest power first
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    mod = [(p * i, c) for i, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c]
+    top = len(a)
+    for e in range(len(prod) - 1, top - 1, -1):
+        c = prod[e]
+        if c:
+            prod[e] = 0
+            for i, t in mod:
+                prod[e - top + i] -= c * t
+    return prod[:top]
+
+
+# signed slots on both sides of byte boundaries, up to five bytes
+_EDGES = sorted(
+    {0, 1, -1, 127, -127, 128, -128, -129, 255, 256}
+    | {v for k in range(1, 6) for v in (-(1 << (8 * k - 1)), -(1 << (8 * k - 1)) - 1)}
+    | {(1 << (8 * k - 1)) - 1 for k in range(1, 6)}
 )
-def test_cyclic_power_matches_schoolbook(vec):
-    # entries up to 300 put single coefficients on both sides of a byte
+_RINGS = [(p, n) for p in (3, 5, 7, 11) for n in (1, 2, 3, 4, 6, 11, 15) if n % p]
+
+
+@pytest.mark.parametrize("p, n", _RINGS)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ring_power_matches_schoolbook(p, n, data):
+    # the widest entry of an example has up to `top` bytes, and its entries
+    # straddle the byte boundaries below that
+    top = data.draw(st.integers(1, 5))
+    edges = [c for c in _EDGES if -(1 << (8 * top - 1)) - 1 <= c < 1 << (8 * top - 1)]
+    size = p * euler_phi(n)
+    vec = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from(edges), st.integers(-300, 300)),
+            min_size=size,
+            max_size=size,
+        )
+    )
     expect = vec
     for k in range(1, 13):
-        assert _cyclic_power(vec, k) == expect
-        expect = _school_cyclic_mul(expect, vec)
+        assert _ring_power(vec, p, n, k) == expect
+        expect = _school_ring_mul(expect, vec, p, n)
+
+
+def test_signed_bits_brute_force():
+    def least_bits(vals):
+        b = 1
+        while not all(-(1 << (b - 1)) <= c < 1 << (b - 1) for c in vals):
+            b += 1
+        return b
+
+    groups = [[c] for c in _EDGES] + [_EDGES, [3, -129, 0], [-(1 << 39), 127]]
+    for vals in groups:
+        b = least_bits(vals)
+        for nbytes in range((b + 7) // 8, (b + 7) // 8 + 3):
+            half = 1 << (8 * nbytes - 1)
+            raw = _pack([c + half for c in vals], nbytes).to_bytes(len(vals) * nbytes, "little")
+            assert _signed_bits(_planes(raw, nbytes)) == b, (vals, nbytes)
 
 
 def _power_sum_school(phi):
@@ -202,7 +267,7 @@ def _power_sum_school(phi):
 @pytest.mark.parametrize(
     "p, n",
     [(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, p) if (p - 1) % n == 0]
-    + [(31, 30)],
+    + [(23, 11), (31, 30)],
 )
 def test_power_sum_matches_schoolbook(p, n):
     phi = MultiplicativeCharacter(p, n)

@@ -46,6 +46,9 @@ _PI_DIGITS = "tests/test_padic.py::test_pi_digits_match_binomial_reference"
 _HAND_FOLD = "tests/test_padic.py::test_zeta_power_and_embedding_match_hand_fold"
 _EMBED = "tests/test_padic.py::test_embed_cyclo"
 _COHERENCE = "tests/test_gauss.py::test_backend_coherence"
+_RING_POWER = "tests/test_gauss.py::test_ring_power_matches_schoolbook"
+_SIGNED_BITS = "tests/test_gauss.py::test_signed_bits_brute_force"
+_POWER_SUM = "tests/test_gauss.py::test_power_sum_matches_schoolbook"
 _TRANSFORM = "tests/test_groupring.py::test_transform_of_group_element_is_character_value"
 _INVERSE = "tests/test_groupring.py::test_inverse_transform_examples"
 _ROUNDTRIP = "tests/test_groupring.py::test_transform_roundtrip"
@@ -265,6 +268,27 @@ MUTANTS = (
         "self.coeffs = {k: c for k, c in clean.items() if c}",
         "self.coeffs = clean",
         (_MERGE,),
+    ),
+    Mutant(
+        "ring-width-byte-short",
+        "gauss.py",
+        "return 8 * (w - 1) + max(",
+        "return 8 * (w - 2) + max(",
+        (_SIGNED_BITS, _RING_POWER),
+    ),
+    Mutant(
+        "ring-row-sign-flipped",
+        "gauss.py",
+        "d += r * high[q - phi]",
+        "d -= r * high[q - phi]",
+        (_RING_POWER, _POWER_SUM),
+    ),
+    Mutant(
+        "ring-sign-fill-skipped",
+        "gauss.py",
+        "out[i::w] = sign",
+        "out[i::w] = bytes(L)",
+        (_RING_POWER,),
     ),
     Mutant(
         "coord-digit-unreduced",
