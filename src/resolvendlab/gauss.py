@@ -25,6 +25,7 @@ from itertools import count
 
 from .cyclotomic import (
     CycloElement,
+    _canonical,
     _pack,
     _power,
     _reduce,
@@ -226,9 +227,10 @@ def character_sum_identity(phi, j):
     if j == 0:
         raise ValueError("j must be nonzero")
     step = (p - 1) // n
-    lhs = CycloElement.zero(p * (p - 1))
-    for l in range(1, n):
-        lhs = lhs + _gauss_cyclo_exponent(p, (step * l) % (p - 1), j)
+    # every G(phi^l, j) has den 1 at conductor p(p-1), so the left side is
+    # the column sums of their numerators, canonicalised once
+    terms = (_gauss_cyclo_exponent(p, (step * l) % (p - 1), j).num for l in range(1, n))
+    lhs = _canonical(p * (p - 1), list(map(sum, zip(*terms))), 1)
     rhs = 1 + CycloElement.from_terms(
         p, ((n, (j * k) % p) for k in ResidueSubgroup(p, n))
     )

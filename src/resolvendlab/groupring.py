@@ -12,6 +12,9 @@ vectors are one keyed container over either the elements or the characters.
 One conductor rule: every sum, scale, shift, product and pointwise result
 lives over the lcm of its operands' conductors, and _GroupIndexed._build is
 the only place that applies it.
+The ring product lifts each operand over the lcm of its denominators, so
+every value is integral, takes the |G|^2 pair products and sums on the lifts
+with no gcd, and scales each output once by 1/(d_a d_b).
 All three sums run through one kernel: transform reads the rows of the
 group's cached char_table, inverse_transform its columns, and resolvent
 builds its one row from char_exponent directly.  Everything is dense and
@@ -129,18 +132,32 @@ class GroupRingElement(_GroupIndexed):
             return self._build(1, {s * other: v for s, v in self.values.items()})
         if not self._same(other):
             return NotImplemented
+        # over integral lifts every pair product and sum has den 1, so none
+        # needs a gcd; one scale per output puts the denominators back.  Only
+        # the inner operand's lifts are held at once, and each output is
+        # scaled in place, so no operand or result is held twice
+        da, lifted_a = _lift(self)
+        db, lifted_b = _lift(other)
+        lifted_b = list(lifted_b)
         out = {s: CycloElement.zero() for s in self.group.elements()}
-        for s, cs in self.values.items():
-            if cs.is_zero():
-                continue
-            for t, ct in other.values.items():
-                if ct.is_zero():
-                    continue
+        for s, cs in lifted_a:
+            for t, ct in lifted_b:
                 st = s * t
                 out[st] = out[st] + cs * ct
+        scale = Fraction(1, da * db)
+        for s, v in out.items():
+            out[s] = v * scale
         return self._build(other.conductor, out)
 
     __rmul__ = __mul__
+
+
+def _lift(x):
+    """(den, pairs): den is the lcm of the denominators of x's values, and
+    pairs yields the (s, x(s) * den), all integral, over the s with
+    x(s) != 0, each lifted as it is drawn."""
+    den = lcm(*(v.den for v in x.values.values()))
+    return den, ((s, v * den) for s, v in x.values.items() if v)
 
 
 class CharacterVector(_GroupIndexed):

@@ -578,7 +578,10 @@ def _ramify_rows(max_order):
         kind = classify(f)
         counts[kind] += 1
         v_sqrt = None
-        ok = dv >= 0
+        # Hilbert's formula summed over the group: the g_k - g_{k+1} elements
+        # of G_k \ G_{k+1} each have i_G(sigma) = k + 1
+        hilbert = sum((k + 1) * (g - f.order(k + 1)) for k, g in enumerate(f))
+        ok = dv >= 0 and dv == hilbert
         if kind == "weak-wild" and f.order(0) == f.order(1):
             primes = factorize(f.order(0))
             if len(primes) == 1:

@@ -278,6 +278,11 @@ def test_gauss_n_filter(capsys):
         # a prime order n = 11, where Z[y]/(Phi_n(y^p)) is barely shorter
         # than Z[y]/(y^{pn} - 1)
         ("verify gauss --p 23 --format json", "139c0350aa673f38a9d9965211012373"),
+        # the ring benchmark workload: group-ring products at |G| = 30
+        (
+            "verify groupring --group 15 --group 30 --trials 1 --format json",
+            "bef7b67910bd0bd02cb3372080e305de",
+        ),
     ],
     ids=[
         "groupring",
@@ -287,6 +292,7 @@ def test_gauss_n_filter(capsys):
         "stickelberger",
         "gauss-p29",
         "gauss-p23",
+        "groupring-15-30",
     ],
 )
 def test_report_bytes_pinned(capsys, argv, digest):

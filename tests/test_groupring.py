@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,94 @@ def test_reduced_equal_witnesses_compose():
     w1 = reduced_equal(r, r * s1)
     w2 = reduced_equal(r * s1, r * s1 * s2)
     assert w1 * w2 == reduced_equal(r, r * s1 * s2)
+
+
+def _per_pair_product(a, b):
+    # the group-ring product one pair at a time over the values as they are,
+    # with no common denominator: the reference for the lifted product
+    out = {s: CycloElement.zero() for s in a.group.elements()}
+    for s, cs in a.values.items():
+        if cs.is_zero():
+            continue
+        for t, ct in b.values.items():
+            if ct.is_zero():
+                continue
+            st = s * t
+            out[st] = out[st] + cs * ct
+    return GroupRingElement(a.group, lcm(a.conductor, b.conductor), out)
+
+
+def _assert_product_matches_reference(a, b):
+    got, want = a * b, _per_pair_product(a, b)
+    assert got.conductor == want.conductor
+    assert got.values == want.values
+    assert [v.conductor for v in got.values.values()] == [
+        v.conductor for v in want.values.values()
+    ]
+    assert got.to_json() == want.to_json()
+
+
+def _with_zeros(rng, r, share):
+    # r with about share of its values replaced by zero
+    return GroupRingElement(
+        r.group, r.conductor, {s: 0 if rng.random() < share else v for s, v in r.values.items()}
+    )
+
+
+@pytest.mark.parametrize("literal, conductor", [("7", 7), ("3,3", 3), ("15", 15), ("3", 6)])
+def test_ring_product_matches_per_pair_reference(literal, conductor):
+    rng = random.Random("lift:%s" % literal)
+    g = FiniteAbelianGroup.from_literal(literal)
+    for share in (0.0, 0.3, 0.7):
+        for _ in range(3):
+            a = _with_zeros(rng, resolvend(_random_map(rng, g, conductor)), share)
+            b = _with_zeros(rng, resolvend(_random_map(rng, g, conductor)), share)
+            _assert_product_matches_reference(a, b)
+            _assert_product_matches_reference(b, a)
+            _assert_product_matches_reference(a, a)
+
+
+def test_ring_product_of_unit_inverses_matches_per_pair_reference():
+    # unit inverses carry the largest denominators the suites produce
+    rng = random.Random("lift-units")
+    g = FiniteAbelianGroup((15,))
+    seen = 0
+    while seen < 3:
+        r = resolvend(_random_map(rng, g, 15))
+        if not is_unit(r):
+            continue
+        seen += 1
+        inv = unit_inverse(r)
+        assert max(v.den for v in inv.values.values()) > 10**6
+        for a, b in ((inv, r), (r, inv), (inv, inv)):
+            _assert_product_matches_reference(a, b)
+
+
+def test_ring_product_of_divisor_conductor_values_matches_per_pair_reference():
+    # values left at a proper divisor of the container conductor, and
+    # operands over different conductors
+    g = FiniteAbelianGroup((3,))
+    s0, s1, s2 = g.elements()
+    a = GroupRingElement(
+        g,
+        15,
+        {s0: Fraction(2, 3), s1: root_of_unity(3) * Fraction(1, 4), s2: root_of_unity(5, 2)},
+    )
+    b = GroupRingElement(g, 3, {s0: root_of_unity(3, 2) * Fraction(5, 6), s1: 0, s2: -1})
+    assert {v.conductor for v in a.values.values()} == {1, 3, 5}
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        _assert_product_matches_reference(x, y)
+    assert (a * b).conductor == 15
+
+
+def test_ring_product_with_an_all_zero_operand():
+    rng = random.Random("lift-zero")
+    g = FiniteAbelianGroup((3, 3))
+    zero = GroupRingElement.constant(g, 3, 0)
+    r = resolvend(_random_map(rng, g, 3))
+    for a, b in ((zero, r), (r, zero), (zero, zero)):
+        _assert_product_matches_reference(a, b)
+        assert all(v.is_zero() and v.conductor == 1 for v in (a * b).values.values())
 
 
 def test_group_element_scalar_mul():

@@ -1,5 +1,6 @@
 import pytest
 
+from resolvendlab import suites
 from resolvendlab.ramify import (
     RamificationFiltration,
     classify,
@@ -7,6 +8,7 @@ from resolvendlab.ramify import (
     enumerate_filtrations,
     sqrt_inverse_different_valuation,
 )
+from resolvendlab.suites import SuiteConfig, run
 
 
 def test_filtration_construction():
@@ -104,3 +106,14 @@ def test_enumerate_filtrations_count():
     assert counts["unramified"] == 1
     assert counts["tame"] == 80
     assert sum(counts.values()) == len(chains)
+
+
+def test_chain_flag_checks_hilbert_formula(monkeypatch):
+    # one off in the order sum fails every chain:* record, also those outside
+    # the square-root cases, where dv >= 0 alone would still pass
+    monkeypatch.setattr(suites, "different_valuation", lambda f: different_valuation(f) + 1)
+    report, code = run(SuiteConfig(suite="ramify"))
+    assert code == 1
+    chains = [r for r in report["records"] if r["case"].startswith("chain:")]
+    assert chains and not any(r["pass"] for r in chains)
+    assert any(r["witness"]["class"] in ("unramified", "tame") for r in chains)

@@ -56,6 +56,7 @@ _KEYS = "tests/test_groupring.py::test_containers_reject_the_other_key_domain"
 _SCALAR_LCM = "tests/test_groupring.py::test_scalar_of_another_conductor_mul"
 _POINTWISE_LCM = "tests/test_groupring.py::test_pointwise_mul_lives_over_the_lcm_conductor"
 _CONVOLUTION = "tests/test_groupring.py::test_convolution_diagonalization"
+_RING_PRODUCT = "tests/test_groupring.py::test_ring_product_matches_per_pair_reference"
 _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
 _ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
@@ -212,6 +213,20 @@ MUTANTS = (
         "st = s * t",
         "st = s * t.inverse()",
         (_CONVOLUTION,),
+    ),
+    Mutant(
+        "ring-lift-own-den",
+        "groupring.py",
+        "(s, v * den) for s, v",
+        "(s, v * v.den) for s, v",
+        (_RING_PRODUCT,),
+    ),
+    Mutant(
+        "ring-scale-one-side",
+        "groupring.py",
+        "Fraction(1, da * db)",
+        "Fraction(1, da)",
+        (_RING_PRODUCT,),
     ),
     Mutant(
         "runner-one-suite-stamp",
