@@ -15,11 +15,13 @@ conductors in the low thousands stay cheap.  _reduce is the one reduction
 mod Phi_m: it takes integer terms (c, e), of a sum of roots of unity or of
 a product, buckets the exponents mod m (x^m = 1) and adds one cached sparse
 row x^k mod Phi_m per bucket k >= phi(m); there is no second reduction
-loop.  _pack/_unpack are the one fixed-width slot packing, shared by the
-packed product, the padic product and pi-digits and the gauss power sums in
-Z[y]/(Phi_n(y^p)), as is _power.  Inverses are the product of the other Galois
-conjugates over the rational norm, so no arithmetic here works on Fraction
-polynomials.
+loop.  _mul_rows(b) is the matrix of multiplication by b, built column by
+column from row 0 of the same cache, for products that meet one operand
+many times (the group-ring product).  _pack/_unpack are the one fixed-width
+slot packing, shared by the packed product, the padic product and pi-digits
+and the gauss power sums in Z[y]/(Phi_n(y^p)), as is _power.  Inverses are
+the product of the other Galois conjugates over the rational norm, so no
+arithmetic here works on Fraction polynomials.
 """
 
 from __future__ import annotations
@@ -196,6 +198,30 @@ def _reduce(m, terms):
             for i, t in rows[e - phi]:
                 num[i] += c * t
     return num
+
+
+def _mul_rows(b):
+    """The integer matrix of multiplication by b.num on the power basis of
+    Q(zeta_m), m = b.conductor, as phi(m) rows: rows[i][j] is the coefficient
+    of z^i in z^j * b.num, so sum(map(mul, rows[i], a)) is coefficient i of
+    a * b.num mod Phi_m, with no product or reduction left to do.
+
+    Column 0 is b.num; each later column is the one before times z, shifted
+    up one place with its top coefficient folded back through x^phi mod
+    Phi_m, row 0 of _reduction_rows.
+    """
+    col = list(b.num)
+    cols = [col]
+    if len(col) > 1:
+        tail = _reduction_rows(b.conductor)[0]
+        for _ in range(len(col) - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                for i, t in tail:
+                    col[i] += top * t
+            cols.append(col)
+    return tuple(zip(*cols))
 
 
 def _canonical(conductor, num, den):

@@ -13,8 +13,10 @@ One conductor rule: every sum, scale, shift, product and pointwise result
 lives over the lcm of its operands' conductors, and _GroupIndexed._build is
 the only place that applies it.
 The ring product lifts each operand over the lcm of its denominators, so
-every value is integral, takes the |G|^2 pair products and sums on the lifts
-with no gcd, and scales each output once by 1/(d_a d_b).
+every value is integral, and scales each output once by 1/(d_a d_b).  Each
+inner lift is turned once into its multiplication matrix over the pair
+conductor (cyclotomic._mul_rows), so each of the |G|^2 pair products is
+phi integer dot products with no polynomial product, reduction or gcd.
 All three sums run through one kernel: transform reads the rows of the
 group's cached char_table, inverse_transform its columns, and resolvent
 builds its one row from char_exponent directly.  Everything is dense and
@@ -34,7 +36,7 @@ from .abelian import (
     char_table,
     dual_enumerate,
 )
-from .cyclotomic import CycloElement, _as_cyclo
+from .cyclotomic import CycloElement, _as_cyclo, _canonical, _mul_rows
 
 
 class _GroupIndexed:
@@ -133,17 +135,28 @@ class GroupRingElement(_GroupIndexed):
         if not self._same(other):
             return NotImplemented
         # over integral lifts every pair product and sum has den 1, so none
-        # needs a gcd; one scale per output puts the denominators back.  Only
-        # the inner operand's lifts are held at once, and each output is
-        # scaled in place, so no operand or result is held twice
+        # needs a gcd; one scale per output puts the denominators back.  Each
+        # inner lift ct meets the outer ones through its multiplication
+        # matrix over the pair conductor m, built once per call, so a pair
+        # product is phi(m) integer dot products with no polynomial product
+        # and no reduction mod Phi_m.  Only the inner operand's lifts and
+        # matrices are held at once, and each output is scaled in place
         da, lifted_a = _lift(self)
         db, lifted_b = _lift(other)
-        lifted_b = list(lifted_b)
+        lifted_b = list(enumerate(lifted_b))
+        matrices = {}
         out = {s: CycloElement.zero() for s in self.group.elements()}
         for s, cs in lifted_a:
-            for t, ct in lifted_b:
+            for k, (t, ct) in lifted_b:
+                m = lcm(cs.conductor, ct.conductor)
+                key = (k, m)
+                rows = matrices.get(key)
+                if rows is None:
+                    rows = matrices[key] = _mul_rows(ct.raise_conductor(m))
+                a = cs.raise_conductor(m).num
                 st = s * t
-                out[st] = out[st] + cs * ct
+                prod = [sum(map(operator.mul, row, a)) for row in rows]
+                out[st] = out[st] + _canonical(m, prod, 1)
         scale = Fraction(1, da * db)
         for s, v in out.items():
             out[s] = v * scale

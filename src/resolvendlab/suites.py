@@ -568,8 +568,21 @@ def run_groupring(config):
 # -- ramify --------------------------------------------------------------
 
 
+def _class_from_valuation(dv, g0, g1):
+    """Def 3.2 read off the different valuation and g_0, g_1: the second
+    route to classify, which reads the chain shape."""
+    if dv == 0:
+        return "unramified"
+    if g1 == 1 and dv == g0 - 1:
+        return "tame"
+    if g1 > 1 and dv == (g0 - 1) + (g1 - 1):
+        return "weak-wild"
+    return "deep-wild"
+
+
 def _ramify_rows(max_order):
     counts = {"unramified": 0, "tame": 0, "weak-wild": 0, "deep-wild": 0}
+    classes_agree = True
     sqrt_cases = 0
     sqrt_ok = True
     chains = enumerate_filtrations(max_order, 4)
@@ -577,6 +590,9 @@ def _ramify_rows(max_order):
         dv = different_valuation(f)
         kind = classify(f)
         counts[kind] += 1
+        classes_agree = classes_agree and kind == _class_from_valuation(
+            dv, f.order(0), f.order(1)
+        )
         v_sqrt = None
         # Hilbert's formula summed over the group: the g_k - g_{k+1} elements
         # of G_k \ G_{k+1} each have i_G(sigma) = k + 1
@@ -598,7 +614,8 @@ def _ramify_rows(max_order):
             "v_different": dv,
             "v_sqrt": v_sqrt,
         }
-    yield "classify-partition", "Def 3.2", sum(counts.values()) == len(chains), {
+    partition_ok = classes_agree and sum(counts.values()) == len(chains)
+    yield "classify-partition", "Def 3.2", partition_ok, {
         "max_order": max_order,
         "counts": counts,
     }

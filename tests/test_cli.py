@@ -283,6 +283,11 @@ def test_gauss_n_filter(capsys):
             "verify groupring --group 15 --group 30 --trials 1 --format json",
             "bef7b67910bd0bd02cb3372080e305de",
         ),
+        # the first pinned groupring report with phi(N) > 14: |G| = 33, phi = 20
+        (
+            "verify groupring --group 33 --trials 1 --format json",
+            "920e0505fa44792d722c22cf2458801e",
+        ),
     ],
     ids=[
         "groupring",
@@ -293,6 +298,7 @@ def test_gauss_n_filter(capsys):
         "gauss-p29",
         "gauss-p23",
         "groupring-15-30",
+        "groupring-33",
     ],
 )
 def test_report_bytes_pinned(capsys, argv, digest):

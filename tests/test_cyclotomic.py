@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import (
+    _SCHOOLBOOK_CUTOFF,
     CycloElement,
+    _mul_rows,
+    _polymul_int,
+    _polymul_int_school,
     _reduce,
     _reduction_rows,
     conjugate,
@@ -471,6 +475,62 @@ def test_from_terms_over_den_matches_fraction_route(data):
     got = CycloElement.from_terms(m, terms, den)
     _assert_canonical(got)
     assert got == CycloElement(m, _reduce_frac_mod(m, dense))
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 9, 15, 21, 30, 33])
+def test_mul_rows_match_product(m):
+    # integral operands, so the dot products are the product's numerators;
+    # at the primes phi(m) = m - 1 and every product wraps past x^m = 1
+    rng = random.Random("mul-rows:%d" % m)
+    phi = euler_phi(m)
+    for bits in (3, 40, 400):
+        for _ in range(4):
+            a, b = (
+                CycloElement(m, [rng.randrange(-(2**bits), 2**bits) for _ in range(phi)])
+                for _ in range(2)
+            )
+            rows = _mul_rows(b)
+            assert len(rows) == phi and all(len(row) == phi for row in rows)
+            assert [sum(x * y for x, y in zip(row, a.num)) for row in rows] == list(
+                (b * a).num
+            )
+
+
+def _unbalanced(rng, length, bits):
+    # signed coefficients up to bits wide, the extremes and zeros included
+    top = 2**bits - 1
+    pool = (0, top, -top, 1, -1)
+    return [
+        rng.choice(pool) if rng.random() < 0.2 else rng.randint(-top, top)
+        for _ in range(length)
+    ]
+
+
+@pytest.mark.parametrize("wide_bits", [1, 64, 3700, 20000])
+def test_polymul_int_matches_schoolbook_on_unbalanced_widths(wide_bits):
+    # one operand as wide as a unit-inverse value, the other 1-8 bits, with
+    # len(a) * len(b) on both sides of the packed-product cutoff
+    rng = random.Random("unbalanced:%d" % wide_bits)
+    shapes = [(1, 1), (8, 8), (14, 14), (1, 300), (15, 14), (15, 15), (20, 20), (24, 7)]
+    assert any(x * y <= _SCHOOLBOOK_CUTOFF for x, y in shapes)
+    assert any(x * y > _SCHOOLBOOK_CUTOFF for x, y in shapes)
+    for la, lb in shapes:
+        for narrow_bits in (1, 4, 8):
+            wide = _unbalanced(rng, la, wide_bits)
+            narrow = _unbalanced(rng, lb, narrow_bits)
+            want = _polymul_int_school(wide, narrow)
+            assert _polymul_int(wide, narrow) == want
+            assert _polymul_int(narrow, wide) == want
+
+
+def test_inverse_past_the_cutoff():
+    # at phi(33) = 20 the adjugate's products run packed, a wide running
+    # product against a narrow conjugate each time
+    rng = random.Random("inverse-packed")
+    for _ in range(2):
+        x = CycloElement(33, [rng.randint(-3, 3) for _ in range(euler_phi(33))])
+        if x:
+            assert x * x.inverse() == 1
 
 
 # Fraction-per-coefficient reference route for the product

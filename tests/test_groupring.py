@@ -270,6 +270,21 @@ def _with_zeros(rng, r, share):
     )
 
 
+def _with_rationals(rng, r, share):
+    # r with about share of its values replaced by a nonzero rational, which
+    # stays at conductor 1, so its pairs run over two conductors
+    return GroupRingElement(
+        r.group,
+        r.conductor,
+        {
+            s: Fraction(rng.choice((-3, -1, 2, 5)), rng.randrange(1, 4))
+            if rng.random() < share
+            else v
+            for s, v in r.values.items()
+        },
+    )
+
+
 @pytest.mark.parametrize("literal, conductor", [("7", 7), ("3,3", 3), ("15", 15), ("3", 6)])
 def test_ring_product_matches_per_pair_reference(literal, conductor):
     rng = random.Random("lift:%s" % literal)
@@ -278,9 +293,9 @@ def test_ring_product_matches_per_pair_reference(literal, conductor):
         for _ in range(3):
             a = _with_zeros(rng, resolvend(_random_map(rng, g, conductor)), share)
             b = _with_zeros(rng, resolvend(_random_map(rng, g, conductor)), share)
-            _assert_product_matches_reference(a, b)
-            _assert_product_matches_reference(b, a)
-            _assert_product_matches_reference(a, a)
+            c, d = _with_rationals(rng, a, 0.4), _with_rationals(rng, b, 0.4)
+            for x, y in ((a, b), (b, a), (a, a), (c, d), (d, c)):
+                _assert_product_matches_reference(x, y)
 
 
 def test_ring_product_of_unit_inverses_matches_per_pair_reference():

@@ -117,3 +117,15 @@ def test_chain_flag_checks_hilbert_formula(monkeypatch):
     chains = [r for r in report["records"] if r["case"].startswith("chain:")]
     assert chains and not any(r["pass"] for r in chains)
     assert any(r["witness"]["class"] in ("unramified", "tame") for r in chains)
+
+
+def test_classify_partition_checks_a_second_route(monkeypatch):
+    # a classify that swaps tame and weak-wild still partitions the chains,
+    # so only the class read off dv, g_0 and g_1 can fail the record
+    swap = {"tame": "weak-wild", "weak-wild": "tame"}
+    monkeypatch.setattr(suites, "classify", lambda f: swap.get(classify(f), classify(f)))
+    report, code = run(SuiteConfig(suite="ramify"))
+    assert code == 1
+    (record,) = [r for r in report["records"] if r["case"] == "classify-partition"]
+    assert not record["pass"]
+    assert sum(record["witness"]["counts"].values()) == len(enumerate_filtrations(81, 4))

@@ -57,6 +57,7 @@ _SCALAR_LCM = "tests/test_groupring.py::test_scalar_of_another_conductor_mul"
 _POINTWISE_LCM = "tests/test_groupring.py::test_pointwise_mul_lives_over_the_lcm_conductor"
 _CONVOLUTION = "tests/test_groupring.py::test_convolution_diagonalization"
 _RING_PRODUCT = "tests/test_groupring.py::test_ring_product_matches_per_pair_reference"
+_MUL_ROWS = "tests/test_cyclotomic.py::test_mul_rows_match_product"
 _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
 _ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
@@ -226,6 +227,20 @@ MUTANTS = (
         "groupring.py",
         "Fraction(1, da * db)",
         "Fraction(1, da)",
+        (_RING_PRODUCT,),
+    ),
+    Mutant(
+        "ring-matrix-transposed",
+        "cyclotomic.py",
+        "return tuple(zip(*cols))",
+        "return tuple(cols)",
+        (_MUL_ROWS,),
+    ),
+    Mutant(
+        "ring-matrix-key-drops-conductor",
+        "groupring.py",
+        "key = (k, m)",
+        "key = k",
         (_RING_PRODUCT,),
     ),
     Mutant(
