@@ -4,9 +4,11 @@ The exact backend, gauss_sum, expands G(phi, j) = sum_k phi(k) zeta_p^{jk}
 at conductor p(p-1), where the multiplicative character phi takes values in
 the (p-1)-st roots of unity.  The p-adic backend, gauss_sum_padic, rebuilds
 the same sum inside truncated Z_p[zeta_p] with phi valued in Teichmuller
-lifts, which is what exposes the pi-adic valuation.  Both backends pin the
-character by its value on the least primitive root, so they name the same
-object and can be compared digit by digit after embedding.
+lifts, which is what exposes the pi-adic valuation: one pass over k from
+the definition, each phi(k) a cached power of the lift of the least
+primitive root, then one fold of zeta^{p-1} through Phi_p.  Both backends
+pin the character by its value on the least primitive root, so they name
+the same object and can be compared digit by digit after embedding.
 
 power_sum_S takes the n-th powers G(phi, j)^n in R = Z[y]/(Phi_n(y^p)),
 y = zeta_{pn}, which has p phi(n) coefficients.  Phi_{pn}(y) divides
@@ -15,6 +17,9 @@ mod Phi_{pn} afterwards gives the same canonical elements as powers taken
 in Z[y]/(y^{pn} - 1).  The powers stay packed in one big integer; before
 each product the slot width is chosen from the operands' own widest slots,
 read off their byte planes, so that no slot of the reduced product wraps.
+The p - 1 powers are added while packed, at one width with room for the
+sum.  (S1) has two routes: the valuation of the exact S after embedding,
+and the same S taken in Z_p[zeta_p] as sum_j gauss_sum_padic(phi, j)^n.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ from .cyclotomic import (
     _unpack,
     root_of_unity,
 )
-from .numutil import discrete_log_table, euler_phi, least_primitive_root, odd_prime
+from .numutil import discrete_log_table, euler_phi, odd_prime
 from .padic import (
     AT_CAP,
     PadicCycloElement,
     PrecisionError,
+    _teichmuller_powers,
     embed_cyclo,
     pi_valuation,
-    teichmuller,
 )
 
 
@@ -144,16 +149,21 @@ def _gauss_cyclo_exponent(p, t, j):
 
 @lru_cache(maxsize=None)
 def _gauss_padic(p, n, j, precision):
-    """G(phi, j) = sum_r phi(rho^r) eta_r from the Gaussian periods eta_r, the
-    sums of zeta^{jk} over the coset of k = rho^a, a = r mod n, of the n-th powers."""
-    acc = PadicCycloElement.zero(p, precision)
-    rho = least_primitive_root(p)
-    powers = [pow(rho, a, p) for a in range(p - 1)]
-    for r in range(n):
-        w = teichmuller(powers[r * (p - 1) // n], p, precision)
-        eta = PadicCycloElement(p, precision, _reduce(p, ((1, j * k) for k in powers[r::n])))
-        acc = acc + w * eta
-    return acc
+    """G(phi, j) = sum_k phi(k) zeta^{jk} in one pass from its definition.
+
+    With k = rho^a, phi(k) = omega^{step a}, step = (p-1)/n, is read from the
+    powers of the Teichmuller lift omega of rho, and lands in the slot
+    jk mod p of the power basis 1, zeta, ..., zeta^{p-1}.  Slot p - 1 is
+    then folded through Phi_p: zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).
+    """
+    omega = _teichmuller_powers(p, precision)
+    dlog = discrete_log_table(p)
+    step = (p - 1) // n
+    c = [0] * p
+    for k in range(1, p):
+        c[j * k % p] += omega[step * dlog[k] % (p - 1)]
+    top = c[-1]
+    return PadicCycloElement(p, precision, [x - top for x in c[:-1]])
 
 
 def gauss_sum(phi, j):
@@ -274,6 +284,27 @@ def _signed_bits(planes):
     return 8 * (w - 1) + max(top.to_bytes(len(sign), "little")).bit_length() + 1
 
 
+def _widen(planes, a, w):
+    """The packed signed value of the two's-complement planes at slot width
+    w >= a, where planes a and above are sign planes: a strided copy of the
+    planes that hold bits, with the sign plane filled in above them."""
+    L = len(planes[0])
+    out = bytearray(L * w)
+    for i in range(a):
+        out[i::w] = planes[i]
+    sign = planes[-1].translate(_SIGN)
+    for i in range(a, w):
+        out[i::w] = sign
+    out[w - 1 :: w] = out[w - 1 :: w].translate(_FLIP)
+    return int.from_bytes(out, "little") - _offsets(L, w)
+
+
+def _offset_slots(x, length, w):
+    """The length signed slots of the offset form x at slot width w."""
+    half = 1 << (8 * w - 1)
+    return [c - half for c in _unpack(x, length, w)]
+
+
 @lru_cache(maxsize=None)
 def _block_rows(n):
     """Y^q mod Phi_n(Y) for phi(n) <= q < 2 phi(n), read by output digit.
@@ -305,23 +336,13 @@ def _ring_power(vec, p, n, k):
     every slot of D is at most 2^(a-1) 2^(b-1) p phi(n) C (C from
     _block_rows), and w is the least width with 2^(8w-1) above that, so no
     slot wraps.  a and b are read off the byte planes of the operands, and
-    rewidening is a strided copy of the planes that hold bits with the sign
-    plane filled in above them.
+    `_widen` rewidens them.  Returns the offset form (raw bytes, w) of the
+    power, unpacked by the caller.
     """
     L = len(vec)
     phi = L // p
     cols, C = _block_rows(n)
     scale = L * C
-
-    def signed(planes, a, w):  # the packed signed value at slot width w >= a
-        out = bytearray(L * w)
-        for i in range(a):
-            out[i::w] = planes[i]
-        sign = planes[-1].translate(_SIGN)
-        for i in range(a, w):
-            out[i::w] = sign
-        out[w - 1 :: w] = out[w - 1 :: w].translate(_FLIP)
-        return int.from_bytes(out, "little") - _offsets(L, w)
 
     def mul(a, b):  # (offset bytes, slot bytes) pairs
         pa = _planes(*a)
@@ -329,8 +350,8 @@ def _ring_power(vec, p, n, k):
         ba = _signed_bits(pa)
         bb = ba if a is b else _signed_bits(pb)
         w = (scale << (ba + bb - 2)).bit_length() // 8 + 1
-        x = signed(pa, (ba + 7) // 8, w)
-        z = x * x if a is b else x * signed(pb, (bb + 7) // 8, w)
+        x = _widen(pa, (ba + 7) // 8, w)
+        z = x * x if a is b else x * _widen(pb, (bb + 7) // 8, w)
         size = p * w
         raw = (z + _offsets(2 * L, w)).to_bytes(2 * L * w, "little")
         half = _offsets(p, w)
@@ -352,9 +373,7 @@ def _ring_power(vec, p, n, k):
     w = max(map(abs, vec)).bit_length() // 8 + 1
     half = 1 << (8 * w - 1)
     raw = _pack([c + half for c in vec], w).to_bytes(L * w, "little")
-    raw, w = _power((raw, w), k, mul)
-    half = 1 << (8 * w - 1)
-    return [c - half for c in _unpack(int.from_bytes(raw, "little"), L, w)]
+    return _power((raw, w), k, mul)
 
 
 def power_sum_S(phi):
@@ -363,7 +382,8 @@ def power_sum_S(phi):
 
     Returns (S, exact, bounded): exact is the equality S = (p-1) G(phi, 1)^n
     checked in canonical form, bounded is the p-adic statement that S has
-    pi-valuation at least p - 1.
+    pi-valuation at least p - 1, and that S embedded in Z_p[zeta_p] equals
+    the same sum taken there, sum_j gauss_sum_padic(phi, j)^n.
 
     Every exponent of G(phi, j) at m = p(p-1) is a multiple of
     step = (p-1)/n, so G(phi, j) is a sum of p - 1 powers of
@@ -374,7 +394,9 @@ def power_sum_S(phi):
     n, Phi_n(y^p) = Phi_{pn}(y) Phi_n(y), so Phi_{pn} divides Phi_n(y^p)
     and reducing an element of R mod Phi_{pn} gives its value at
     zeta_{pn}.  Both sums are reduced and compared at conductor pn; only S
-    is raised to m.  `_ring_power` sizes its packed slots from the data.
+    is raised to m.  `_ring_power` sizes its packed slots from the data; its
+    p - 1 results are widened to one slot width with room for their sum and
+    added as big integers, so S and G(phi, 1)^n are each unpacked once.
     """
     p, n = phi.p, phi.n
     if n == 1:
@@ -383,8 +405,7 @@ def power_sum_S(phi):
     phin = euler_phi(n)
     rows = _reduction_rows(n)
     dlog = discrete_log_table(p)
-    svec = [0] * (p * phin)
-    base_pow = None
+    powers = []
     for j in range(1, p):
         # phi(k) zeta_p^{jk} = y^e, e = p (dlog k mod n) + n (jk mod p) mod pn
         vec = [0] * (p * phin)
@@ -395,15 +416,21 @@ def power_sum_S(phi):
             else:
                 for r, c in rows[q - phin]:
                     vec[p * r + i] += c
-        powed = _ring_power(vec, p, n, n)
-        if j == 1:
-            base_pow = powed
-        svec = [a + b for a, b in zip(svec, powed)]
-    S = CycloElement.from_terms(p * n, zip(svec, count()))
-    exact = S == CycloElement.from_terms(p * n, zip([(p - 1) * c for c in base_pow], count()))
+        powers.append(_ring_power(vec, p, n, n))
+    L = p * phin
+    # p - 1 slots of size at most 2^(8w-1) sum below 2^(8w-1+bits(p-1)) in size
+    W = max(w for _, w in powers) + ((p - 1).bit_length() + 7) // 8
+    total = sum(_widen(_planes(raw, w), w, W) for raw, w in powers)
+    S = CycloElement.from_terms(p * n, zip(_offset_slots(total + _offsets(L, W), L, W), count()))
+    raw, w = powers[0]
+    base = _offset_slots(int.from_bytes(raw, "little"), L, w)
+    exact = S == CycloElement.from_terms(p * n, zip([(p - 1) * c for c in base], count()))
     S = S.raise_conductor(m)
-    v = pi_valuation(embed_cyclo(S, p, _MIN_VALUATION_PRECISION))
-    bounded = v is AT_CAP or v >= p - 1
+    M = _MIN_VALUATION_PRECISION
+    embedded = embed_cyclo(S, p, M)
+    v = pi_valuation(embedded)
+    direct = sum(gauss_sum_padic(phi, j, M) ** n for j in range(1, p))
+    bounded = (v is AT_CAP or v >= p - 1) and direct == embedded
     return S, exact, bounded
 
 

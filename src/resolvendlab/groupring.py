@@ -168,9 +168,14 @@ class GroupRingElement(_GroupIndexed):
 def _lift(x):
     """(den, pairs): den is the lcm of the denominators of x's values, and
     pairs yields the (s, x(s) * den), all integral, over the s with
-    x(s) != 0, each lifted as it is drawn."""
+    x(s) != 0, each lifted as it is drawn.  den / v.den is an integer, so
+    the lift scales v's numerators and needs no gcd."""
     den = lcm(*(v.den for v in x.values.values()))
-    return den, ((s, v * den) for s, v in x.values.items() if v)
+    return den, (
+        (s, _canonical(v.conductor, [c * (den // v.den) for c in v.num], 1))
+        for s, v in x.values.items()
+        if v
+    )
 
 
 class CharacterVector(_GroupIndexed):

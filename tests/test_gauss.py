@@ -3,7 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvendlab import gauss, suites
-from resolvendlab.cyclotomic import CycloElement, _pack, cyclotomic_polynomial, root_of_unity
+from resolvendlab.cyclotomic import (
+    CycloElement,
+    _pack,
+    _unpack,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
 from resolvendlab.gauss import (
     MultiplicativeCharacter,
     ResidueSubgroup,
@@ -18,8 +24,8 @@ from resolvendlab.gauss import (
     power_sum_S,
     verify_translation,
 )
-from resolvendlab.numutil import euler_phi
-from resolvendlab.padic import PrecisionError
+from resolvendlab.numutil import divisor_list, euler_phi
+from resolvendlab.padic import PadicCycloElement, PrecisionError, teichmuller
 from resolvendlab.suites import SuiteConfig, run
 from resolvendlab.wildsym import WildContext
 
@@ -225,7 +231,10 @@ def test_ring_power_matches_schoolbook(p, n, data):
     )
     expect = vec
     for k in range(1, 13):
-        assert _ring_power(vec, p, n, k) == expect
+        raw, w = _ring_power(vec, p, n, k)
+        half = 1 << (8 * w - 1)
+        got = [c - half for c in _unpack(int.from_bytes(raw, "little"), size, w)]
+        assert got == expect
         expect = _school_ring_mul(expect, vec, p, n)
 
 
@@ -275,6 +284,41 @@ def test_power_sum_matches_schoolbook(p, n):
     expect = _power_sum_school(phi)
     assert (S.num, S.den) == (expect.num, expect.den)
     assert exact and bounded
+
+
+def test_power_sum_padic_route_fails_on_a_wrong_padic_sum(monkeypatch):
+    # (S1)'s Z_p[zeta_p] route: the sum of the padic G(phi, j)^n must equal
+    # the embedded exact S.  A wrong padic sum at the route's precision 3
+    # fails every power-sum-valuation record, and those records alone: the
+    # valuations and the coherence check run at the suite's precision 6
+    padic_sum = gauss.gauss_sum_padic
+
+    def wrong(phi, j, precision):
+        g = padic_sum(phi, j, precision)
+        return g + 1 if precision == 3 else g
+
+    monkeypatch.setattr(gauss, "gauss_sum_padic", wrong)
+    report, code = run(SuiteConfig(suite="gauss", p=11))
+    assert code == 1
+    failed = {r["case"] for r in report["records"] if not r["pass"]}
+    assert failed == {"power-sum-valuation:p11:n%d" % n for n in (2, 5, 10)}
+
+
+@pytest.mark.parametrize("M", [1, 3, 6])
+def test_gauss_padic_matches_definition(M):
+    # sum_k phi(k) zeta^{jk} with phi(k) the step-th power of the Teichmuller
+    # lift of k itself, so no discrete-log table is involved
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        zetas = [PadicCycloElement.zeta_power(p, M, e) for e in range(p)]
+        lifts = [None] + [teichmuller(k, p, M) for k in range(1, p)]
+        for n in divisor_list(p - 1):
+            step = (p - 1) // n
+            phi = MultiplicativeCharacter(p, n)
+            for j in range(p):
+                expect = PadicCycloElement.zero(p, M)
+                for k in range(1, p):
+                    expect = expect + pow(lifts[k], step, p**M) * zetas[j * k % p]
+                assert gauss_sum_padic(phi, j, M) == expect, (p, n, j)
 
 
 def test_backend_coherence():

@@ -49,6 +49,7 @@ _COHERENCE = "tests/test_gauss.py::test_backend_coherence"
 _RING_POWER = "tests/test_gauss.py::test_ring_power_matches_schoolbook"
 _SIGNED_BITS = "tests/test_gauss.py::test_signed_bits_brute_force"
 _POWER_SUM = "tests/test_gauss.py::test_power_sum_matches_schoolbook"
+_GAUSS_PADIC = "tests/test_gauss.py::test_gauss_padic_matches_definition"
 _TRANSFORM = "tests/test_groupring.py::test_transform_of_group_element_is_character_value"
 _INVERSE = "tests/test_groupring.py::test_inverse_transform_examples"
 _ROUNDTRIP = "tests/test_groupring.py::test_transform_roundtrip"
@@ -130,6 +131,13 @@ MUTANTS = (
         "[c - top for c in low]",
         "low",
         (_PACKED_MUL,),
+    ),
+    Mutant(
+        "gauss-padic-top-dropped",
+        "gauss.py",
+        "top = c[-1]",
+        "top = 0",
+        (_COHERENCE, _GAUSS_PADIC),
     ),
     Mutant(
         "pi-digits-shift-at-B",
@@ -218,8 +226,8 @@ MUTANTS = (
     Mutant(
         "ring-lift-own-den",
         "groupring.py",
-        "(s, v * den) for s, v",
-        "(s, v * v.den) for s, v",
+        "[c * (den // v.den) for c in v.num]",
+        "list(v.num)",
         (_RING_PRODUCT,),
     ),
     Mutant(
