@@ -9,17 +9,17 @@ binary operations raise both operands to the lcm conductor first.
 
 Coefficients are integer vectors over one denominator, and from_terms,
 which builds every sum of roots of unity, takes integer terms the same way;
-only the constructor, from_rational and from_json read Fractions.  Products
-above 14 x 14 coefficients go through a packed big-integer multiply so that
-conductors in the low thousands stay cheap.  _reduce is the one reduction
-mod Phi_m: it takes integer terms (c, e), of a sum of roots of unity or of
-a product, buckets the exponents mod m (x^m = 1) and adds one cached sparse
-row x^k mod Phi_m per bucket k >= phi(m); there is no second reduction
-loop.  _mul_rows(b) is the matrix of multiplication by b, built column by
-column from row 0 of the same cache, for products that meet one operand
-many times (the group-ring product).  _pack/_unpack are the one fixed-width
-slot packing, shared by the packed product, the padic product and pi-digits
-and the gauss power sums in Z[y]/(Phi_n(y^p)), as is _power.  Inverses are
+only the constructor and from_rational read Fractions.  A product is one
+schoolbook pass over the nonzero coefficients (_polymul_int).  _reduce is
+the one reduction mod Phi_m: it takes integer terms (c, e), of a sum of
+roots of unity or of a product, buckets the exponents mod m (x^m = 1) and
+adds one cached sparse row x^k mod Phi_m per bucket k >= phi(m); there is
+no second reduction loop.  _mul_rows(b) is the matrix of multiplication by
+b, built column by column from row 0 of the same cache, for products that
+meet one operand many times (the group-ring product).  _pack/_unpack,
+the one fixed-width slot packing, serve the padic product and pi-digits
+and the gauss power sums in Z[y]/(Phi_n(y^p)); no product here packs.
+_power is the one square-and-multiply of all three rings.  Inverses are
 the product of the other Galois conjugates over the rational norm, so no
 arithmetic here works on Fraction polynomials.
 """
@@ -33,10 +33,6 @@ from itertools import count
 from math import gcd, lcm
 
 from .numutil import divisor_list, euler_phi
-
-# packed products win from about 15 x 15 (4- and 30-bit coefficients, CPython 3.11)
-_SCHOOLBOOK_CUTOFF = 196
-
 
 def _as_fraction(c):
     if isinstance(c, Fraction):
@@ -58,18 +54,12 @@ def _as_cyclo(value, conductor):
     return CycloElement.from_rational(value)
 
 
-def _polymul_int_school(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _pack(vec, nbytes):
-    """vec, each entry in [0, 2^(8 nbytes)), in little-endian slots of one int."""
+    """vec, each entry in [0, 2^(8 nbytes)), in little-endian slots of one int.
+
+    The one slot packing; its users are the padic product and pi_digits and
+    the gauss power sums.
+    """
     return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in vec), "little")
 
 
@@ -80,27 +70,15 @@ def _unpack(x, length, nbytes):
 
 
 def _polymul_int(a, b):
-    """Product of two integer coefficient vectors (low degree first).
-
-    Large inputs are packed into single big integers (one fixed-width signed
-    digit per coefficient) and multiplied once; CPython's big-int multiply
-    then does the convolution in C.  Digit width is chosen so no column sum
-    can overflow its slot, which keeps the round trip exact.
-    """
-    if not a or not b:
-        return []
-    if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
-        return _polymul_int_school(a, b)
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    nbytes = bound.bit_length() // 8 + 1  # 2^(8*nbytes - 1) > bound
-    half = 1 << (8 * nbytes - 1)
-
-    def pack(vec):  # the signed digits, each offset by half and the offsets taken back
-        return _pack([c + half for c in vec], nbytes) - _pack([half] * len(vec), nbytes)
-
-    n = len(a) + len(b) - 1
-    x = pack(a) * pack(b) + _pack([half] * n, nbytes)
-    return [c - half for c in _unpack(x, n, nbytes)]
+    """Product of two integer coefficient vectors (low degree first), by
+    schoolbook over the nonzero coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
 
 
 def _polydiv_exact(num, den):
@@ -293,11 +271,6 @@ class CycloElement:
         conductor = operator.index(conductor)
         return _canonical(conductor, _reduce(conductor, terms), den)
 
-    @classmethod
-    def from_json(cls, doc):
-        conductor, pairs = doc
-        return cls(conductor, [Fraction(n, d) for n, d in pairs])
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self):
@@ -380,19 +353,6 @@ class CycloElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if not q:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / q)
-        if isinstance(other, CycloElement):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, k):
         k = operator.index(k)
         if k < 0:
@@ -463,8 +423,3 @@ def galois_map(u, x):
     if gcd(u, m) != 1:
         raise ValueError("galois_map needs gcd(u, m) = 1, got u=%d mod m=%d" % (u, m))
     return CycloElement.from_terms(m, ((c, i * u) for i, c in enumerate(x.num) if c), x.den)
-
-
-def conjugate(x):
-    """Complex conjugation, the u = -1 automorphism."""
-    return galois_map(x.conductor - 1 if x.conductor > 1 else 1, x)

@@ -6,8 +6,9 @@ here is that coefficient vector over Z/p^M.  Since pi = zeta - 1 satisfies
 (pi^{p-1}) = (p), coefficient-wise arithmetic mod p^M is exact mod
 pi^{(p-1)M}; valuations below that cap are exact, those at or above it are
 AT_CAP.  Products (folded mod x^p - 1) and pi-digits (a Taylor shift at
-2^w + 1) are one pass each over a big integer packed by cyclotomic._pack;
-only zeta_power and embed_cyclo use cyclotomic._reduce.
+2^w + 1) are one pass each over a big integer packed by cyclotomic._pack,
+the slot packing the gauss power sums use too; no cyclotomic product runs
+here, and only zeta_power and embed_cyclo use cyclotomic._reduce.
 """
 
 from __future__ import annotations
@@ -142,12 +143,6 @@ class PadicCycloElement:
         if k == 0:
             return PadicCycloElement.one(self.p, self.precision)
         return _power(self, k, operator.mul)
-
-    def truncate(self, precision):
-        """The same element at a lower precision."""
-        if precision > self.precision:
-            raise ValueError("cannot invent precision %d > %d" % (precision, self.precision))
-        return PadicCycloElement(self.p, precision, self.coeffs)
 
     def is_zero(self):
         return not any(self.coeffs)

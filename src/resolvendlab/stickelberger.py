@@ -96,12 +96,6 @@ class VirtualCharacter(_SparseCombination):
     def single(cls, chi, multiplicity=1):
         return cls(chi.group, {chi: multiplicity})
 
-    def conjugate(self):
-        """chi -> chi^{-1} on every summand."""
-        return VirtualCharacter(
-            self.group, [(chi.inverse(), n) for chi, n in self.coeffs.items()]
-        )
-
     def __repr__(self):
         if not self.coeffs:
             return "VirtualCharacter(0)"

@@ -191,10 +191,6 @@ class WildContext:
         self.group = FiniteAbelianGroup([p])
         self._inv = {i: pow(i, -1, p) for i in range(1, p)}
 
-    @property
-    def generator(self):
-        return self.group.element([1])
-
     def character(self, k):
         """The character sending the generator to zeta_p^k."""
         return self.group.character([operator.index(k) % self.p])

@@ -8,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvendlab.cyclotomic import (
-    _SCHOOLBOOK_CUTOFF,
     CycloElement,
     _mul_rows,
     _polymul_int,
-    _polymul_int_school,
     _reduce,
     _reduction_rows,
-    conjugate,
     cyclotomic_polynomial,
     galois_map,
     root_of_unity,
@@ -163,13 +160,6 @@ def test_galois_composition():
     assert orbit.as_rational() == -2
 
 
-def test_conjugate():
-    z = root_of_unity(5, 1)
-    assert conjugate(z) == root_of_unity(5, 4)
-    x = z + root_of_unity(5, 4)
-    assert conjugate(x) == x
-
-
 def test_from_terms_and_mul_root():
     x = CycloElement.from_terms(5, [(1, 0), (2, 1), (1, 6)])
     assert x == CycloElement.one(5) + CycloElement.from_rational(3, 5) * root_of_unity(5, 1)
@@ -261,7 +251,6 @@ _PARAMETER_SITES = [
     ("cyclo-from-rational", lambda n: CycloElement.from_rational(1, n)),
     ("cyclo-from-terms", lambda n: root_of_unity(n)),
     ("cyclo-raise", lambda n: CycloElement.one().raise_conductor(n)),
-    ("cyclo-from-json", lambda n: CycloElement.from_json([n, [[0, 1]] * 6])),
     ("galois-map", lambda u: galois_map(u, root_of_unity(9))),
     ("container", lambda n: GroupRingElement.identity(FiniteAbelianGroup([7]), n)),
     ("factorize", factorize),
@@ -329,7 +318,6 @@ def test_str_and_json():
     x = CycloElement.from_rational(Fraction(1, 2), 5) + root_of_unity(5, 1)
     doc = x.to_json()
     assert doc[0] == 5
-    assert CycloElement.from_json(doc) == x
     assert "z" in str(root_of_unity(5, 1))
 
 
@@ -370,7 +358,6 @@ def test_canonical_form_and_views(data):
     reduced = tuple(Fraction(c) for c in vec)
     assert x.coeffs == reduced
     assert x.to_json() == [m, [[c.numerator, c.denominator] for c in reduced]]
-    assert CycloElement.from_json(x.to_json()) == x
     assert x.is_zero() == (not any(reduced))
 
 
@@ -506,26 +493,31 @@ def _unbalanced(rng, length, bits):
     ]
 
 
+def _polymul_nested(a, b):
+    # every (i, j) pair, zeros included, summed into a fresh column
+    return [
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    ]
+
+
 @pytest.mark.parametrize("wide_bits", [1, 64, 3700, 20000])
 def test_polymul_int_matches_schoolbook_on_unbalanced_widths(wide_bits):
-    # one operand as wide as a unit-inverse value, the other 1-8 bits, with
-    # len(a) * len(b) on both sides of the packed-product cutoff
+    # one operand as wide as a unit-inverse value, the other 1-8 bits
     rng = random.Random("unbalanced:%d" % wide_bits)
     shapes = [(1, 1), (8, 8), (14, 14), (1, 300), (15, 14), (15, 15), (20, 20), (24, 7)]
-    assert any(x * y <= _SCHOOLBOOK_CUTOFF for x, y in shapes)
-    assert any(x * y > _SCHOOLBOOK_CUTOFF for x, y in shapes)
     for la, lb in shapes:
         for narrow_bits in (1, 4, 8):
             wide = _unbalanced(rng, la, wide_bits)
             narrow = _unbalanced(rng, lb, narrow_bits)
-            want = _polymul_int_school(wide, narrow)
+            want = _polymul_nested(wide, narrow)
             assert _polymul_int(wide, narrow) == want
             assert _polymul_int(narrow, wide) == want
 
 
 def test_inverse_past_the_cutoff():
-    # at phi(33) = 20 the adjugate's products run packed, a wide running
-    # product against a narrow conjugate each time
+    # at phi(33) = 20 the adjugate multiplies a wide running product by a
+    # narrow conjugate each time
     rng = random.Random("inverse-packed")
     for _ in range(2):
         x = CycloElement(33, [rng.randint(-3, 3) for _ in range(euler_phi(33))])

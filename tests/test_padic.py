@@ -112,12 +112,6 @@ def test_mixed_precision_rejected():
         a + b
 
 
-def test_truncate():
-    p = 5
-    x = PadicCycloElement.from_int(123, p, 4)
-    assert x.truncate(2) == PadicCycloElement.from_int(123, p, 2)
-
-
 def test_embed_cyclo():
     p, M = 7, 4
     z = embed_cyclo(root_of_unity(p, 1), p, M)

@@ -187,7 +187,7 @@ def test_resolvent_matches_collapse_prediction():
 def test_build_g():
     ctx = WildContext(7, 2)
     g = build_g(ctx)
-    t = ctx.generator
+    t = ctx.group.element([1])
     y = WildMonomial.symbol
     assert g(t ** 5) == y(1) ** 7
     assert g(t ** 6) == y(2) ** 7
