@@ -62,8 +62,6 @@ from .stickelberger import (
 from .wildsym import (
     WildContext,
     WildMonomial,
-    build_alpha,
-    build_g,
     conjugate_check,
     omega_action,
     omega_monomial,
@@ -391,7 +389,7 @@ _WILD_DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 def _wild_pair_rows(p, n):
     ctx = WildContext(p, n)
-    alpha = build_alpha(ctx)
+    alpha = ctx.alpha
     ok_alpha = len(alpha.coeffs) == p and all(
         c == Fraction(1, p) for c in alpha.coeffs.values()
     )
@@ -411,7 +409,7 @@ def _wild_pair_rows(p, n):
         "n": n,
         "pairs": p * p,
     }
-    g = build_g(ctx)
+    g = ctx.g
     ok_g = g.check_equivariance(
         ctx.subgroup, lambda u, v: omega_monomial(u, v, p)
     )

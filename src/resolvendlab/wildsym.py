@@ -9,6 +9,9 @@ action permutes indices and twists coefficients through the matching Galois
 map, alpha averages one orbit of monomials, and each character sum over the
 tau orbit must collapse to a single coefficient-1 monomial that equals the
 transpose evaluation of the map g built from p-th powers of the symbols.
+
+WildContext builds what depends only on (p, n, tag) once: the p summand
+monomials, alpha, g and the orbit sums; no check rebuilds any of it.
 """
 
 from __future__ import annotations
@@ -148,12 +151,7 @@ class WildElement(_SparseCombination):
             )
         if isinstance(other, WildMonomial):
             return WildElement(self.p, {m * other: c for m, c in self.coeffs.items()})
-        return WildElement(self.p, {m: c * other for m, c in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (WildElement, WildMonomial)):
-            return NotImplemented
-        return self * other
+        return NotImplemented
 
     def __str__(self):
         if not self.coeffs:
@@ -174,22 +172,31 @@ def c_of(i, p):
 
 
 class WildContext:
-    """Derived data for one layer: the residue subgroup R_n, the twisted
-    index d = (p-1)/n mod p with its inverse, and the abstract cyclic group
-    of order p whose characters index the resolvents."""
+    """Derived data for one layer, each built once: R_n, d = (p-1)/n mod p
+    and its inverse, the cyclic group of order p whose characters index the
+    resolvents, the p summands, alpha, g and orbit_sums[t] = sum_j zeta_p^{jt}."""
 
-    __slots__ = ("p", "n", "tag", "subgroup", "d", "d_inv", "group", "_inv")
+    __slots__ = ("p", "n", "tag", "subgroup", "d", "d_inv", "group",
+                 "summands", "alpha", "g", "orbit_sums")
 
     def __init__(self, p, n, tag=0):
         self.subgroup = ResidueSubgroup(p, n)
         self.p = p = self.subgroup.p
         self.n = n = self.subgroup.n
-        self.tag = operator.index(tag)
+        self.tag = tag = operator.index(tag)
         self.d = ((p - 1) // n) % p
         assert self.d  # (p-1)/n lies in 1..p-1
         self.d_inv = pow(self.d, -1, p)
         self.group = FiniteAbelianGroup([p])
-        self._inv = {i: pow(i, -1, p) for i in range(1, p)}
+        inv = [(i, pow(i, -1, p)) for i in self.subgroup]
+        self.summands = tuple(
+            WildMonomial({(tag, i): c_of(u * k, p) for i, u in inv}) for k in range(p)
+        )
+        self.alpha = build_alpha(self)
+        self.g = build_g(self)
+        self.orbit_sums = tuple(
+            CycloElement.from_terms(p, ((1, j * t) for j in range(p))) for t in range(p)
+        )
 
     def character(self, k):
         """The character sending the generator to zeta_p^k."""
@@ -197,10 +204,7 @@ class WildContext:
 
     def summand_monomial(self, k):
         """prod over i in R_n of y_i^{c(i^{-1} k)}."""
-        k = operator.index(k) % self.p
-        return WildMonomial(
-            {(self.tag, i): c_of(self._inv[i] * k, self.p) for i in self.subgroup}
-        )
+        return self.summands[operator.index(k) % self.p]
 
     def collapse_monomial(self, k):
         """The monomial the k-th character sum must collapse to."""
@@ -251,40 +255,35 @@ def omega_action(j, x):
 
 def build_alpha(ctx):
     """(1/p) * sum over k in F_p of the k-th summand monomial."""
-    p = ctx.p
-    return WildElement(
-        p, ((ctx.summand_monomial(k), Fraction(1, p)) for k in range(p))
-    )
+    return WildElement(ctx.p, ((m, Fraction(1, ctx.p)) for m in ctx.summands))
 
 
 def conjugate_check(ctx, j, k):
-    """tau^j scales the k-th summand by exactly zeta^{jkd}."""
+    """tau^j scales the k-th summand by exactly zeta^{jkd}.  The two sides
+    differ in the exponent (the weight on the left, j*k*d on the right), not
+    in the kernel, so sharing from_terms keeps them independent."""
     p = ctx.p
-    elem = WildElement.monomial(p, ctx.summand_monomial(k))
-    lhs = tau_action(j, elem)
-    rhs = elem * root_of_unity(p, (operator.index(j) * operator.index(k) * ctx.d) % p)
-    return lhs == rhs
+    mono = ctx.summand_monomial(k)
+    lhs = tau_action(j, WildElement.monomial(p, mono))
+    e = operator.index(j) * operator.index(k) * ctx.d
+    return lhs == WildElement.monomial(p, mono, root_of_unity(p, e))
 
 
 def resolvent_at(ctx, k):
     """The character sum over the tau orbit of alpha against zeta^{-jk}.
 
-    Computed as the defining double sum, grouped per monomial so each
-    coefficient is a single canonical reduction of its p root-of-unity
-    contributions.  The collapse to one coefficient-1 monomial, and its
-    identity as the predicted monomial, are enforced here: anything else
-    is a broken invariant, not a value.
+    Computed from the definition grouped by exponent t = w - k: a monomial
+    of weight w gets its alpha coefficient times the context's orbit sum
+    sum_j zeta^{jt}, one canonical reduction of p root-of-unity terms.  The
+    collapse to one coefficient-1 monomial, and its identity as the predicted
+    monomial, are enforced here: anything else is a broken invariant.
     """
     p = ctx.p
     k = operator.index(k) % p
-    alpha = build_alpha(ctx)
     out = {}
-    for mono, base in alpha.coeffs.items():
-        scale = base.as_rational()
+    for mono, base in ctx.alpha.coeffs.items():
         w = mono.weight(p)
-        out[mono] = CycloElement.from_terms(
-            p, ((scale.numerator, j * (w - k)) for j in range(p)), scale.denominator
-        )
+        out[mono] = ctx.orbit_sums[(w - k) % p] * base.as_rational()
     result = WildElement(p, out)
     expected = ctx.collapse_monomial(k)
     if set(result.coeffs) != {expected} or result.coeffs[expected] != 1:
@@ -314,8 +313,7 @@ def build_g(ctx):
 def transpose_eval_g(ctx, k):
     """Transpose evaluation of g at the character with exponent k; the p-th
     power structure of the values absorbs the denominator p exactly."""
-    g = build_g(ctx)
-    return transpose_apply(g, VirtualCharacter.single(ctx.character(k)))
+    return transpose_apply(ctx.g, VirtualCharacter.single(ctx.character(k)))
 
 
 def product_contexts(ctxs):
@@ -336,13 +334,13 @@ def product_contexts(ctxs):
     tagged = [WildContext(p, c.n, tag=idx + 1) for idx, c in enumerate(ctxs)]
     r = len(tagged)
     big = FiniteAbelianGroup([p] * r)
-    gs = [build_g(c) for c in tagged]
     values = {}
     for s in big.elements():
         live = [idx for idx, a in enumerate(s.coords) if a]
         if len(live) == 1:
             idx = live[0]
-            values[s] = gs[idx](tagged[idx].group.element([s.coords[idx]]))
+            ctx = tagged[idx]
+            values[s] = ctx.g(ctx.group.element([s.coords[idx]]))
         else:
             values[s] = WildMonomial.one()
     composite = EquivariantMap(big, -1, values)

@@ -288,6 +288,11 @@ def test_gauss_n_filter(capsys):
             "verify groupring --group 33 --trials 1 --format json",
             "920e0505fa44792d722c22cf2458801e",
         ),
+        # product_contexts: tagged contexts and their stored g
+        (
+            "verify wild --p 7 --product 2 --format json",
+            "244fe3f36763e2327225d73e1e957077",
+        ),
     ],
     ids=[
         "groupring",
@@ -299,6 +304,7 @@ def test_gauss_n_filter(capsys):
         "gauss-p23",
         "groupring-15-30",
         "groupring-33",
+        "wild-product",
     ],
 )
 def test_report_bytes_pinned(capsys, argv, digest):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from resolvendlab import cyclotomic, wildsym
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.numutil import divisor_list
 from resolvendlab.wildsym import (
@@ -68,7 +69,6 @@ def test_wild_element_arithmetic():
         p, y1 * y1, CycloElement.from_rational(2, p) * root_of_unity(p, 1)
     ) + WildElement.monomial(p, WildMonomial.one(), root_of_unity(p, 1))
     assert (x - x).is_zero()
-    assert 3 * WildElement.one(p) == WildElement.monomial(p, WildMonomial.one(), 3)
 
 
 def test_tau_action():
@@ -160,6 +160,36 @@ def test_conjugate_check():
             assert all(
                 conjugate_check(c, j, k) for j in range(p) for k in range(p)
             )
+
+
+def test_context_objects_are_built_once(monkeypatch):
+    p = 7
+    ctx = WildContext(p, 2)
+    for k in range(p):
+        assert ctx.summand_monomial(k) is ctx.summand_monomial(k + p)
+    assert ctx.alpha == build_alpha(ctx)
+
+    def rebuilt(_ctx):
+        raise AssertionError("context object rebuilt")
+
+    monkeypatch.setattr(wildsym, "build_alpha", rebuilt)
+    monkeypatch.setattr(wildsym, "build_g", rebuilt)
+    for k in range(p):
+        assert resolvent_at(ctx, k) == WildElement.monomial(p, transpose_eval_g(ctx, k))
+        assert all(conjugate_check(ctx, j, k) for j in range(p))
+
+
+def test_conjugate_check_makes_no_cyclo_product(monkeypatch):
+    p = 7
+    ctx = WildContext(p, 3)
+
+    def product(a, b):
+        raise AssertionError("CycloElement product")
+
+    monkeypatch.setattr(cyclotomic, "_polymul_int", product)
+    with pytest.raises(AssertionError):
+        root_of_unity(p, 1) * root_of_unity(p, 2)
+    assert all(conjugate_check(ctx, j, k) for j in range(p) for k in range(p))
 
 
 def test_resolvent_at():

@@ -68,6 +68,9 @@ _PAIRING_ROW = "tests/test_stickelberger.py::test_pairing_row_matches_pairing"
 _MAP_SUM = "tests/test_stickelberger.py::test_stickelberger_map_matches_fraction_sum"
 _MERGE = "tests/test_stickelberger.py::test_combinations_merge_and_cancel"
 _CANONICAL = "tests/test_abelian.py::test_constructed_values_are_the_enumerated_ones"
+_SUMMAND = "tests/test_wildsym.py::test_build_alpha_p7_summand"
+_RESOLVENT = "tests/test_wildsym.py::test_resolvent_at"
+_CONJUGATE = "tests/test_wildsym.py::test_conjugate_check"
 
 MUTANTS = (
     Mutant(
@@ -349,6 +352,27 @@ MUTANTS = (
         "for c, d in zip(coords, factors):",
         "for c, d in zip(coords[::-1], factors[::-1]):",
         (_CANONICAL,),
+    ),
+    Mutant(
+        "wild-summand-uninverted",
+        "wildsym.py",
+        "c_of(u * k, p)",
+        "c_of(i * k, p)",
+        (_SUMMAND,),
+    ),
+    Mutant(
+        "wild-orbit-index-flipped",
+        "wildsym.py",
+        "orbit_sums[(w - k) % p]",
+        "orbit_sums[(w + k) % p]",
+        (_RESOLVENT,),
+    ),
+    Mutant(
+        "wild-conjugate-uses-d-inv",
+        "wildsym.py",
+        "operator.index(k) * ctx.d",
+        "operator.index(k) * ctx.d_inv",
+        (_CONJUGATE,),
     ),
 )
 
