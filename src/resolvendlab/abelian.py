@@ -28,7 +28,7 @@ _GROUPS = {}  # invariant factors -> the one FiniteAbelianGroup
 class FiniteAbelianGroup:
     """Invariant factors d_1 | d_2 | ... | d_r; () is the trivial group."""
 
-    __slots__ = ("invariant_factors", "_elements", "_dual", "_table")
+    __slots__ = ("invariant_factors", "_elements", "_dual", "_table", "_mul")
 
     def __new__(cls, invariant_factors=()):
         factors = tuple(operator.index(d) for d in invariant_factors)
@@ -42,7 +42,7 @@ class FiniteAbelianGroup:
                 )
         group = object.__new__(cls)
         group.invariant_factors = factors
-        group._elements = group._dual = group._table = None
+        group._elements = group._dual = group._table = group._mul = None
         return _GROUPS.setdefault(factors, group)
 
     def __reduce__(self):  # copy and pickle give back the one instance
@@ -93,7 +93,7 @@ class FiniteAbelianGroup:
 class _CoordTuple:
     """Shared coordinate arithmetic for group elements and characters."""
 
-    __slots__ = ("group", "coords")
+    __slots__ = ("group", "coords", "index")
 
     def __new__(cls, group, coords):
         coords = tuple(coords)
@@ -168,11 +168,11 @@ def dual_enumerate(group):
 
 def _enumerate(group, cls):
     """Every GroupElement or Character of group, in itertools.product order;
-    the constructor returns the entry at the mixed-radix index of coords."""
+    the constructor returns the entry at the mixed-radix index it holds."""
     values = []
-    for coords in itertools.product(*map(range, group.invariant_factors)):
+    for index, coords in enumerate(itertools.product(*map(range, group.invariant_factors))):
         value = object.__new__(cls)
-        value.group, value.coords = group, coords
+        value.group, value.coords, value.index = group, coords, index
         values.append(value)
     return tuple(values)
 
@@ -187,3 +187,18 @@ def char_table(group):
             for chi in dual_enumerate(group)
         )
     return group._table
+
+
+def mul_table(group):
+    """The group law by index in group.elements(): [i][j] is the index of the
+    i-th element times the j-th, built factor by factor from the last."""
+    if group._mul is None:
+        table = ((0,),)
+        for d in reversed(group.invariant_factors):
+            size = len(table)
+            table = tuple(
+                tuple((a + b) % d * size + t for b in range(d) for t in row)
+                for a in range(d) for row in table
+            )
+        group._mul = table
+    return group._mul

@@ -12,31 +12,32 @@ vectors are one keyed container over either the elements or the characters.
 One conductor rule: every sum, scale, shift, product and pointwise result
 lives over the lcm of its operands' conductors, and _GroupIndexed._build is
 the only place that applies it.
-The ring product lifts each operand over the lcm of its denominators, so
-every value is integral, and scales each output once by 1/(d_a d_b).  Each
-inner lift is turned once into its multiplication matrix over the pair
-conductor (cyclotomic._mul_rows), so each of the |G|^2 pair products is
-phi integer dot products with no polynomial product, reduction or gcd.
-All three sums run through one kernel: transform reads the rows of the
-group's cached char_table, inverse_transform its columns, and resolvent
-builds its one row from char_exponent directly.  Everything is dense and
-O(|G|^2); the scales here never justify anything fancier.
+The ring product lifts each operand over the lcm of its denominators and
+scales each output once by 1/(d_a d_b); each inner lift becomes its
+multiplication matrix (cyclotomic._mul_rows), so a pair product is phi
+integer dot products, put in the slot that abelian.mul_table names.
+transform and inverse_transform are one separable kernel (_dft): CRT
+prime-power axes, summed axis by axis by signed rotations in Z[x]/(x^M -+ 1),
+|G| sum(q) rotate-and-add passes, not |G|^2 terms.  An element holds its
+transform once computed; resolvent is a second, one-character route.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from .abelian import (
     FiniteAbelianGroup,
     GroupElement,
     char_exponent,
-    char_table,
     dual_enumerate,
+    mul_table,
 )
-from .cyclotomic import CycloElement, _as_cyclo, _canonical, _mul_rows
+from .cyclotomic import CycloElement, _as_cyclo, _canonical, _mul_rows, _reduce
+from .numutil import factorize
 
 
 class _GroupIndexed:
@@ -105,9 +106,9 @@ class GroupMap(_GroupIndexed):
 
 
 class GroupRingElement(_GroupIndexed):
-    """Element sum_s c_s s of the group ring Q(zeta_N)[G]."""
+    """Element sum_s c_s s of Q(zeta_N)[G]; never changed once built."""
 
-    __slots__ = ()
+    __slots__ = ("_transform",)
 
     @classmethod
     def identity(cls, group, conductor):
@@ -130,8 +131,10 @@ class GroupRingElement(_GroupIndexed):
         if isinstance(other, (int, Fraction, CycloElement)):
             n = getattr(other, "conductor", 1)
             return self._build(n, {s: v * other for s, v in self.values.items()})
+        elements = self.group.elements()
         if isinstance(other, GroupElement) and other.group is self.group:
-            return self._build(1, {s * other: v for s, v in self.values.items()})
+            row = mul_table(self.group)[other.index]
+            return self._build(1, dict(zip([elements[k] for k in row], self.values.values())))
         if not self._same(other):
             return NotImplemented
         # over integral lifts every pair product and sum has den 1, so none
@@ -140,40 +143,40 @@ class GroupRingElement(_GroupIndexed):
         # matrix over the pair conductor m, built once per call, so a pair
         # product is phi(m) integer dot products with no polynomial product
         # and no reduction mod Phi_m.  Only the inner operand's lifts and
-        # matrices are held at once, and each output is scaled in place
+        # matrices are held at once
+        table = mul_table(self.group)
         da, lifted_a = _lift(self)
         db, lifted_b = _lift(other)
-        lifted_b = list(enumerate(lifted_b))
+        lifted_b = list(lifted_b)
         matrices = {}
-        out = {s: CycloElement.zero() for s in self.group.elements()}
-        for s, cs in lifted_a:
-            for k, (t, ct) in lifted_b:
+        out = [CycloElement.zero()] * len(elements)
+        for i, cs in lifted_a:
+            row = table[i]
+            for k, ct in lifted_b:
                 m = lcm(cs.conductor, ct.conductor)
                 key = (k, m)
                 rows = matrices.get(key)
                 if rows is None:
                     rows = matrices[key] = _mul_rows(ct.raise_conductor(m))
                 a = cs.raise_conductor(m).num
-                st = s * t
-                prod = [sum(map(operator.mul, row, a)) for row in rows]
+                st = row[k]
+                prod = [sum(map(operator.mul, r, a)) for r in rows]
                 out[st] = out[st] + _canonical(m, prod, 1)
         scale = Fraction(1, da * db)
-        for s, v in out.items():
-            out[s] = v * scale
-        return self._build(other.conductor, out)
+        return self._build(other.conductor, {s: v * scale for s, v in zip(elements, out)})
 
     __rmul__ = __mul__
 
 
 def _lift(x):
     """(den, pairs): den is the lcm of the denominators of x's values, and
-    pairs yields the (s, x(s) * den), all integral, over the s with
+    pairs yields the (j, x(s) * den), all integral, for the j-th key s with
     x(s) != 0, each lifted as it is drawn.  den / v.den is an integer, so
     the lift scales v's numerators and needs no gcd."""
     den = lcm(*(v.den for v in x.values.values()))
     return den, (
-        (s, _canonical(v.conductor, [c * (den // v.den) for c in v.num], 1))
-        for s, v in x.values.items()
+        (j, _canonical(v.conductor, [c * (den // v.den) for c in v.num], 1))
+        for j, v in enumerate(x.values.values())
         if v
     )
 
@@ -212,50 +215,79 @@ def resolvend_to_map(r):
     return GroupMap(r.group, r.conductor, resolvend(r).values)
 
 
-def _character_sums(x, rows, den_scale=1):
-    """sum_k x(k) * zeta_m^(e_k) / den_scale for each exponent row e, k over
-    x's keys in order and m = exponent(G), as elements of Q(zeta_N).
+def _dft(x, den_scale):
+    """Yield, for each key j in key order, sum_k x(k) <k, j> / den_scale in
+    Q(zeta_N), N = x.conductor, <k, j> = prod over the factors d of
+    zeta_d^(k_i j_i): the sums of transform and of inverse_transform.
 
-    The nonzero values are raised to N once over one denominator, and each
-    row costs one from_terms pass.
+    Values are dense integer lists over one denominator in Z[x]/(x^M - 1),
+    M = N, or for even N in Z[x]/(x^M + 1), M = N/2, so zeta_N^r is a signed
+    rotation.  Each factor d splits by CRT into prime-power axes q, and
+    zeta_d^(e k j), e = 1 mod q and 0 mod d/q, reads k, j mod q only: each
+    fiber of q slots along an axis is replaced by its q rotated sums.
     """
     n = x.conductor
-    step = n // x.group.exponent
-    raised = [
-        (j, v.raise_conductor(n)) for j, v in enumerate(x.values.values()) if not v.is_zero()
-    ]
-    den = lcm(*(v.den for _, v in raised))
-    support = [
-        (j, [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c]) for j, v in raised
-    ]
-    den *= den_scale
-    return [
-        CycloElement.from_terms(
-            n, ((c, i + step * e[j]) for j, pairs in support for i, c in pairs), den
-        )
-        for e in rows
-    ]
+    m = n // 2 if n % 2 == 0 else n
+    values = x.values.values()
+    den = lcm(*(v.den for v in values))
+    vecs = []
+    for v in values:
+        vec = [0] * n
+        step = n // v.conductor
+        vec[: step * len(v.num) : step] = [den // v.den * c for c in v.num]
+        vecs.append(vec if m == n else list(map(operator.sub, vec[:m], vec[m:])))
+    signed = (lambda v: v) if m == n else (lambda v: [-c for c in v])
+    radix = len(vecs)
+    for d in x.group.invariant_factors:
+        radix //= d
+        # the largest prime first, while the lists are still sparse
+        for q in (p**k for p, k in reversed(factorize(d))):
+            gap = d // q
+            w = n // d * gap * pow(gap, -1, q)
+            for lo in range(len(vecs)):
+                c = lo // radix % d
+                if c < gap:
+                    fiber = slice(lo, lo + d * radix, gap * radix)
+                    coords = range(c, d, gap)
+                    # x^r v is the slice at (M - r) mod 2M of (+-v, v, +-v)
+                    wide = [u + v + u for v in vecs[fiber] for u in (signed(v),)]
+                    vecs[fiber] = [
+                        list(map(sum, zip(*(v[o : o + m] for v, o in zip(wide, offs)))))
+                        for offs in ([(m - w * s * t) % (2 * m) for s in coords] for t in coords)
+                    ]
+    for j, vec in enumerate(vecs):
+        vecs[j] = None
+        yield _canonical(n, _reduce(n, zip(vec, count())), den * den_scale)
 
 
 def resolvent(a, chi):
     """(a | chi) = sum_s a(s) chi(s)^{-1}, exact in Q(zeta_N)."""
     group = a.group
+    n = a.conductor
+    step = n // group.exponent
     row = [-char_exponent(group, chi, s) for s in group.elements()]
-    return _character_sums(a, [row])[0]
+    den = lcm(*(v.den for v in a.values.values()))
+    terms = (
+        (den // v.den * c, i * (n // v.conductor) + step * e)
+        for v, e in zip(a.values.values(), row) for i, c in enumerate(v.num)
+    )
+    return CycloElement.from_terms(n, terms, den)
 
 
 def transform(r):
-    """Evaluate sum_s c_s s at every character: chi -> sum_s c_s chi(s)."""
-    group = r.group
-    sums = _character_sums(r, char_table(group))
-    return CharacterVector(group, r.conductor, dict(zip(dual_enumerate(group), sums)))
+    """chi -> sum_s c_s chi(s) at every character, held on r once computed."""
+    tr = getattr(r, "_transform", None)
+    if tr is None:
+        values = dict(zip(dual_enumerate(r.group), _dft(r, 1)))
+        tr = r._transform = CharacterVector(r.group, r.conductor, values)
+    return tr
 
 
 def inverse_transform(phi):
     """Recover the map a with resolvent(a, chi) = phi(chi) for all chi:
     a(s) = (1/|G|) sum_chi phi(chi) chi(s)."""
     group = phi.group
-    sums = _character_sums(phi, zip(*char_table(group)), group.order)
+    sums = _dft(phi, group.order)
     return GroupMap(group, phi.conductor, dict(zip(group.elements(), sums)))
 
 

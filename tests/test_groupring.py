@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvendlab.abelian import FiniteAbelianGroup, char_exponent, dual_enumerate
+from resolvendlab import groupring, suites
+from resolvendlab.abelian import (
+    FiniteAbelianGroup,
+    char_exponent,
+    char_table,
+    dual_enumerate,
+    mul_table,
+)
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.groupring import (
     CharacterVector,
@@ -222,8 +229,11 @@ def test_reduced_equal_rejects_nonunits():
     g = FiniteAbelianGroup((9,))
     const = resolvend(GroupMap.constant(g, 9, CycloElement.one(9)))
     good = GroupRingElement.identity(g, 9)
-    with pytest.raises(ValueError):
-        reduced_equal(const, good)
+    # the unit's transform is held by then, and must not vouch for const
+    assert is_unit(good)
+    for a, b in ((const, good), (good, const)):
+        with pytest.raises(ValueError):
+            reduced_equal(a, b)
 
 
 def test_reduced_equal_witnesses_compose():
@@ -393,3 +403,122 @@ def test_containers_carry_no_instance_dict():
     r = resolvend(a)
     for x in (a, r, GroupRingElement.identity(g, 3), transform(r), r + r, r * r):
         assert not hasattr(x, "__dict__"), type(x).__name__
+
+
+_KERNEL_GROUPS = ("1", "2", "3", "9", "3,3", "2,4", "15", "30", "3,9", "5,5")
+
+
+def _reference_sums(x, rows, den_scale):
+    # the route before the separable kernel: one from_terms per exponent row,
+    # over the values raised to the container conductor and one denominator
+    n = x.conductor
+    step = n // x.group.exponent
+    raised = [v.raise_conductor(n) for v in x.values.values()]
+    den = lcm(*(v.den for v in raised))
+    return [
+        CycloElement.from_terms(
+            n,
+            (
+                (c * (den // v.den), i + step * e)
+                for v, e in zip(raised, row)
+                for i, c in enumerate(v.num)
+            ),
+            den * den_scale,
+        )
+        for row in rows
+    ]
+
+
+@st.composite
+def _kernel_values(draw, group, conductor):
+    # per key: zero, a rational, or a value at the conductor or a divisor of
+    # it, with denominators that differ from key to key
+    divisors = sorted({1, group.exponent, conductor})
+    values = []
+    for _ in range(group.order):
+        kind = draw(st.sampled_from(("zero", "rational", "cyclo")))
+        if kind == "zero":
+            values.append(0)
+        elif kind == "rational":
+            values.append(draw(_fractions))
+        else:
+            n = draw(st.sampled_from(divisors))
+            width = euler_phi(n)
+            coeffs = draw(st.lists(_fractions, min_size=width, max_size=width))
+            values.append(CycloElement(n, coeffs))
+    return values
+
+
+@pytest.mark.parametrize("scale", (1, 2))
+@pytest.mark.parametrize("literal", _KERNEL_GROUPS)
+def test_kernel_matches_character_table_route(literal, scale):
+    g = FiniteAbelianGroup.from_literal(literal)
+    n = scale * g.exponent
+    table = char_table(g)
+
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(_kernel_values(g, n))
+    def check(drawn):
+        for values in (drawn, [0] * g.order):
+            r = GroupRingElement(g, n, dict(zip(g.elements(), values)))
+            tr = transform(r)
+            assert tr.conductor == n
+            assert list(tr.values.values()) == _reference_sums(r, table, 1)
+            phi = CharacterVector(g, n, dict(zip(dual_enumerate(g), values)))
+            back = inverse_transform(phi)
+            assert list(back.values.values()) == _reference_sums(phi, zip(*table), g.order)
+
+    check()
+
+
+@pytest.mark.parametrize("literal", ("3", "15", "2,4"))
+def test_resolvent_matches_transform_at_twice_the_exponent(literal):
+    # at conductor 2 exp(G) a root of the pairing is a step of two
+    rng = random.Random("resolvent:%s" % literal)
+    g = FiniteAbelianGroup.from_literal(literal)
+    a = _random_map(rng, g, 2 * g.exponent)
+    tr = transform(resolvend(a))
+    for chi in dual_enumerate(g):
+        assert resolvent(a, chi) == tr(chi)
+
+
+@pytest.mark.parametrize("literal", _KERNEL_GROUPS + ("2,2,4",))
+def test_mul_table_matches_the_group_law(literal):
+    g = FiniteAbelianGroup.from_literal(literal)
+    elements = g.elements()
+    table = mul_table(g)
+    assert [s.index for s in elements] == list(range(g.order))
+    assert table == tuple(tuple((s * t).index for t in elements) for s in elements)
+    assert mul_table(g) is table
+
+
+def test_transform_memo_belongs_to_its_element():
+    # transform(r * s)(chi) = chi(s) transform(r)(chi): a shift, or any other
+    # element built from r, gets its own transform, not r's
+    rng = random.Random("memo")
+    g = FiniteAbelianGroup((3, 3))
+    r = resolvend(_random_map(rng, g, 3))
+    base = transform(r)
+    assert transform(r) is base
+    for s in g.elements():
+        want = [base(chi) * root_of_unity(3, char_exponent(g, chi, s)) for chi in dual_enumerate(g)]
+        assert list(transform(r * s).values.values()) == want
+    assert list(transform(r + r).values.values()) == [2 * v for v in base.values.values()]
+
+
+def test_a_unit_round_transforms_each_element_once(monkeypatch):
+    # a round transforms r, r2, r * r2 and the shift of r; is_unit,
+    # unit_inverse and reduced_equal reuse the transform of r
+    seen = []
+    kernel = groupring._dft
+
+    def counting(x, den_scale):
+        seen.append(x)  # holding x keeps every id distinct
+        return kernel(x, den_scale)
+
+    monkeypatch.setattr(groupring, "_dft", counting)
+    rows = list(suites._groupring_rows("15", 1, 1))
+    assert [row[2] for row in rows] == [True, True, True]
+    assert rows[2][3]["units_seen"] == 1
+    elements = [x for x in seen if isinstance(x, GroupRingElement)]
+    assert len({id(x) for x in elements}) == len(elements) == 4

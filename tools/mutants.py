@@ -59,6 +59,11 @@ _SCALAR_LCM = "tests/test_groupring.py::test_scalar_of_another_conductor_mul"
 _POINTWISE_LCM = "tests/test_groupring.py::test_pointwise_mul_lives_over_the_lcm_conductor"
 _CONVOLUTION = "tests/test_groupring.py::test_convolution_diagonalization"
 _RING_PRODUCT = "tests/test_groupring.py::test_ring_product_matches_per_pair_reference"
+_KERNEL = "tests/test_groupring.py::test_kernel_matches_character_table_route"
+_RESOLVENT_2N = "tests/test_groupring.py::test_resolvent_matches_transform_at_twice_the_exponent"
+_MUL_TABLE = "tests/test_groupring.py::test_mul_table_matches_the_group_law"
+_MEMO = "tests/test_groupring.py::test_transform_memo_belongs_to_its_element"
+_NONUNITS = "tests/test_groupring.py::test_reduced_equal_rejects_nonunits"
 _MUL_ROWS = "tests/test_cyclotomic.py::test_mul_rows_match_product"
 _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
@@ -188,23 +193,51 @@ MUTANTS = (
     Mutant(
         "transform-sign-flipped",
         "groupring.py",
-        "sums = _character_sums(r, char_table(group))",
-        "sums = _character_sums(r, [[-e for e in row] for row in char_table(group)])",
-        (_TRANSFORM,),
+        "w = n // d * gap",
+        "w = -n // d * gap",
+        (_TRANSFORM, _KERNEL),
+    ),
+    Mutant(
+        "dft-rotation-reversed",
+        "groupring.py",
+        "(m - w * s * t) % (2 * m)",
+        "(m + w * s * t) % (2 * m)",
+        (_TRANSFORM, _KERNEL),
+    ),
+    Mutant(
+        "dft-crt-multiplier-wrong",
+        "groupring.py",
+        "gap * pow(gap, -1, q)",
+        "gap",
+        (_TRANSFORM, _KERNEL),
+    ),
+    Mutant(
+        "dft-input-wrap-sign-flipped",
+        "groupring.py",
+        "map(operator.sub, vec[:m], vec[m:])",
+        "map(operator.add, vec[:m], vec[m:])",
+        (_TRANSFORM, _KERNEL),
+    ),
+    Mutant(
+        "dft-rotation-wrap-unsigned",
+        "groupring.py",
+        "(lambda v: [-c for c in v])",
+        "(lambda v: v)",
+        (_TRANSFORM, _KERNEL),
     ),
     Mutant(
         "sums-step-dropped",
         "groupring.py",
-        "i + step * e[j]",
-        "i + e[j]",
-        (_TRANSFORM,),
+        "+ step * e)",
+        "+ e)",
+        (_RESOLVENT_2N,),
     ),
     Mutant(
         "inverse-den-scale-dropped",
         "groupring.py",
-        "_character_sums(phi, zip(*char_table(group)), group.order)",
-        "_character_sums(phi, zip(*char_table(group)))",
-        (_INVERSE,),
+        "_dft(phi, group.order)",
+        "_dft(phi, 1)",
+        (_INVERSE, _KERNEL),
     ),
     Mutant(
         "resolvent-sign-flipped",
@@ -230,9 +263,32 @@ MUTANTS = (
     Mutant(
         "ring-product-slot-inverted",
         "groupring.py",
-        "st = s * t",
-        "st = s * t.inverse()",
+        "st = row[k]",
+        "st = row[-k]",
         (_CONVOLUTION,),
+    ),
+    Mutant(
+        "mul-table-inverts-left",
+        "abelian.py",
+        "(a + b) % d * size + t",
+        "(b - a) % d * size + t",
+        (_MUL_TABLE, _CONVOLUTION),
+    ),
+    Mutant(
+        "unit-check-reads-wrong-transform",
+        "groupring.py",
+        "not is_unit(r1) or not is_unit(r2)",
+        "not is_unit(r1) or not is_unit(r1)",
+        (_NONUNITS,),
+    ),
+    Mutant(
+        "transform-memo-shared-by-shift",
+        "groupring.py",
+        "return self._build(1, dict(zip([elements[k] for k in row], self.values.values())))",
+        "out = self._build(1, dict(zip([elements[k] for k in row], self.values.values())))\n"
+        "            out._transform = transform(self)\n"
+        "            return out",
+        (_MEMO,),
     ),
     Mutant(
         "ring-lift-own-den",
