@@ -43,15 +43,15 @@ def _as_fraction(c):
 
 
 def _as_cyclo(value, conductor):
-    """value as an element of Q(zeta_conductor), left at its own conductor:
-    an exact scalar, or a CycloElement whose conductor divides conductor."""
+    """value stored at conductor: an exact scalar, or a CycloElement whose
+    conductor divides conductor, raised to it."""
     if isinstance(value, CycloElement):
         if conductor % value.conductor:
             raise ValueError(
                 "value conductor %d does not divide %d" % (value.conductor, conductor)
             )
-        return value
-    return CycloElement.from_rational(value)
+        return value.raise_conductor(conductor)
+    return CycloElement.from_rational(value, conductor)
 
 
 def _pack(vec, nbytes):

@@ -9,13 +9,13 @@ Conventions, fixed once:
 so transform(resolvend(a)) evaluated at chi equals resolvent(a, chi), and
 inverse_transform undoes it.  Group maps, group-ring elements and character
 vectors are one keyed container over either the elements or the characters.
-One conductor rule: every sum, scale, shift, product and pointwise result
-lives over the lcm of its operands' conductors, and _GroupIndexed._build is
-the only place that applies it.
-The ring product lifts each operand over the lcm of its denominators and
-scales each output once by 1/(d_a d_b); each inner lift becomes its
-multiplication matrix (cyclotomic._mul_rows), so a pair product is phi
-integer dot products, put in the slot that abelian.mul_table names.
+One conductor rule: a container stores every value at its own conductor
+(cyclotomic._as_cyclo), and _GroupIndexed._build puts every sum, scale,
+shift, product and pointwise result over the lcm of its operands' conductors.
+The ring product raises both operands to that lcm, lifts each over the lcm
+of its denominators and scales each output once by 1/(d_a d_b); each inner
+lift becomes its multiplication matrix (cyclotomic._mul_rows), so a pair
+product is phi integer dot products, put in the slot abelian.mul_table names.
 transform and inverse_transform are one separable kernel (_dft): CRT
 prime-power axes, summed axis by axis by signed rotations in Z[x]/(x^M -+ 1),
 |G| sum(q) rotate-and-add passes, not |G|^2 terms.  An element holds its
@@ -32,7 +32,7 @@ from math import lcm
 from .abelian import (
     FiniteAbelianGroup,
     GroupElement,
-    char_exponent,
+    char_table,
     dual_enumerate,
     mul_table,
 )
@@ -137,33 +137,27 @@ class GroupRingElement(_GroupIndexed):
             return self._build(1, dict(zip([elements[k] for k in row], self.values.values())))
         if not self._same(other):
             return NotImplemented
-        # over integral lifts every pair product and sum has den 1, so none
-        # needs a gcd; one scale per output puts the denominators back.  Each
-        # inner lift ct meets the outer ones through its multiplication
-        # matrix over the pair conductor m, built once per call, so a pair
-        # product is phi(m) integer dot products with no polynomial product
-        # and no reduction mod Phi_m.  Only the inner operand's lifts and
-        # matrices are held at once
+        # an operand below the pair conductor n is raised once, as a
+        # container, so every value meets the others at n.  Over integral
+        # lifts every pair product and sum has den 1, so none needs a gcd;
+        # one scale per output puts the denominators back.  Each inner lift
+        # meets the outer ones through its multiplication matrix, so a pair
+        # product is phi(n) integer dot products, no polynomial product
         table = mul_table(self.group)
-        da, lifted_a = _lift(self)
-        db, lifted_b = _lift(other)
-        lifted_b = list(lifted_b)
-        matrices = {}
-        out = [CycloElement.zero()] * len(elements)
+        n = lcm(self.conductor, other.conductor)
+        da, lifted_a = _lift(self._build(n, self.values))
+        db, lifted_b = _lift(other._build(n, other.values))
+        matrices = [(k, _mul_rows(ct)) for k, ct in lifted_b]
+        out = [CycloElement.zero(n)] * len(elements)
         for i, cs in lifted_a:
             row = table[i]
-            for k, ct in lifted_b:
-                m = lcm(cs.conductor, ct.conductor)
-                key = (k, m)
-                rows = matrices.get(key)
-                if rows is None:
-                    rows = matrices[key] = _mul_rows(ct.raise_conductor(m))
-                a = cs.raise_conductor(m).num
-                st = row[k]
+            a = cs.num
+            for k, rows in matrices:
                 prod = [sum(map(operator.mul, r, a)) for r in rows]
-                out[st] = out[st] + _canonical(m, prod, 1)
+                st = row[k]
+                out[st] = out[st] + _canonical(n, prod, 1)
         scale = Fraction(1, da * db)
-        return self._build(other.conductor, {s: v * scale for s, v in zip(elements, out)})
+        return self._build(n, {s: v * scale for s, v in zip(elements, out)})
 
     __rmul__ = __mul__
 
@@ -222,20 +216,16 @@ def _dft(x, den_scale):
 
     Values are dense integer lists over one denominator in Z[x]/(x^M - 1),
     M = N, or for even N in Z[x]/(x^M + 1), M = N/2, so zeta_N^r is a signed
-    rotation.  Each factor d splits by CRT into prime-power axes q, and
-    zeta_d^(e k j), e = 1 mod q and 0 mod d/q, reads k, j mod q only: each
-    fiber of q slots along an axis is replaced by its q rotated sums.
+    rotation, and a value's phi(N) <= M coefficients fill its first slots.
+    Each factor d splits by CRT into prime-power axes q, and zeta_d^(e k j),
+    e = 1 mod q and 0 mod d/q, reads k, j mod q only: each fiber of q slots
+    along an axis is replaced by its q rotated sums.
     """
     n = x.conductor
     m = n // 2 if n % 2 == 0 else n
     values = x.values.values()
     den = lcm(*(v.den for v in values))
-    vecs = []
-    for v in values:
-        vec = [0] * n
-        step = n // v.conductor
-        vec[: step * len(v.num) : step] = [den // v.den * c for c in v.num]
-        vecs.append(vec if m == n else list(map(operator.sub, vec[:m], vec[m:])))
+    vecs = [[den // v.den * c for c in v.num] + [0] * (m - len(v.num)) for v in values]
     signed = (lambda v: v) if m == n else (lambda v: [-c for c in v])
     radix = len(vecs)
     for d in x.group.invariant_factors:
@@ -261,14 +251,17 @@ def _dft(x, den_scale):
 
 
 def resolvent(a, chi):
-    """(a | chi) = sum_s a(s) chi(s)^{-1}, exact in Q(zeta_N)."""
+    """(a | chi) = sum_s a(s) chi(s)^{-1}, exact in Q(zeta_N), for a
+    character chi of a's group."""
     group = a.group
+    if chi.group is not group:
+        raise ValueError("character %r does not live on %r" % (chi, group))
     n = a.conductor
     step = n // group.exponent
-    row = [-char_exponent(group, chi, s) for s in group.elements()]
+    row = [-e for e in char_table(group)[chi.index]]
     den = lcm(*(v.den for v in a.values.values()))
     terms = (
-        (den // v.den * c, i * (n // v.conductor) + step * e)
+        (den // v.den * c, i + step * e)
         for v, e in zip(a.values.values(), row) for i, c in enumerate(v.num)
     )
     return CycloElement.from_terms(n, terms, den)

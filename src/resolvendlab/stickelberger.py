@@ -141,8 +141,10 @@ class RationalGroupElement(_SparseCombination):
 
 def pairing(chi, s):
     """The centered pairing t/|s| where chi(s) = zeta_{|s|}^t and t is the
-    symmetric representative; |s| must be odd."""
+    symmetric representative; chi and s lie on one group and |s| is odd."""
     group = chi.group
+    if s.group is not group:
+        raise ValueError("element %r does not live on %r" % (s, group))
     o = element_order(group, s)
     if o % 2 == 0:
         raise ValueError("pairing is undefined for even element order %d" % o)

@@ -227,7 +227,7 @@ def tau_action(j, x):
     for mono, coeff in x.coeffs.items():
         e = (j * mono.weight(p)) % p
         if e:
-            coeff = coeff.raise_conductor(p).mul_root(e)
+            coeff = coeff.mul_root(e)
         out[mono] = coeff
     return WildElement(p, out)
 

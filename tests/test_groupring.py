@@ -30,6 +30,7 @@ from resolvendlab.groupring import (
     unit_pair_check,
 )
 from resolvendlab.numutil import euler_phi
+from resolvendlab.wildsym import WildElement, WildMonomial, omega_action, tau_action
 
 
 def _random_map(rng, group, conductor):
@@ -82,6 +83,15 @@ def test_resolvent_orthogonality():
     point = GroupMap.indicator(g, 9, g.identity())
     for chi in dual_enumerate(g):
         assert resolvent(point, chi) == CycloElement.one(9)
+
+
+def test_resolvent_rejects_a_character_of_another_group():
+    # groups are canonical, so a map on Z/3 has no resolvent at a character
+    # of Z/9
+    g3, g9 = FiniteAbelianGroup((3,)), FiniteAbelianGroup((9,))
+    a = GroupMap.indicator(g3, 3, g3.identity())
+    with pytest.raises(ValueError, match="does not live on"):
+        resolvent(a, g9.character((1,)))
 
 
 def test_inverse_transform_examples():
@@ -281,8 +291,8 @@ def _with_zeros(rng, r, share):
 
 
 def _with_rationals(rng, r, share):
-    # r with about share of its values replaced by a nonzero rational, which
-    # stays at conductor 1, so its pairs run over two conductors
+    # r with about share of its values replaced by a nonzero rational, whose
+    # lift has one nonzero coefficient
     return GroupRingElement(
         r.group,
         r.conductor,
@@ -325,8 +335,8 @@ def test_ring_product_of_unit_inverses_matches_per_pair_reference():
 
 
 def test_ring_product_of_divisor_conductor_values_matches_per_pair_reference():
-    # values left at a proper divisor of the container conductor, and
-    # operands over different conductors
+    # values given at a proper divisor of the container conductor, which
+    # stores them at its own, and operands over different conductors
     g = FiniteAbelianGroup((3,))
     s0, s1, s2 = g.elements()
     a = GroupRingElement(
@@ -335,7 +345,8 @@ def test_ring_product_of_divisor_conductor_values_matches_per_pair_reference():
         {s0: Fraction(2, 3), s1: root_of_unity(3) * Fraction(1, 4), s2: root_of_unity(5, 2)},
     )
     b = GroupRingElement(g, 3, {s0: root_of_unity(3, 2) * Fraction(5, 6), s1: 0, s2: -1})
-    assert {v.conductor for v in a.values.values()} == {1, 3, 5}
+    assert {v.conductor for v in a.values.values()} == {15}
+    assert {v.conductor for v in b.values.values()} == {3}
     for x, y in ((a, b), (b, a), (a, a), (b, b)):
         _assert_product_matches_reference(x, y)
     assert (a * b).conductor == 15
@@ -348,7 +359,7 @@ def test_ring_product_with_an_all_zero_operand():
     r = resolvend(_random_map(rng, g, 3))
     for a, b in ((zero, r), (r, zero), (zero, zero)):
         _assert_product_matches_reference(a, b)
-        assert all(v.is_zero() and v.conductor == 1 for v in (a * b).values.values())
+        assert all(v.is_zero() and v.conductor == 3 for v in (a * b).values.values())
 
 
 def test_group_element_scalar_mul():
@@ -385,6 +396,35 @@ def test_pointwise_mul_lives_over_the_lcm_conductor():
     for bad in (a, other):
         with pytest.raises(TypeError):
             transform(a).pointwise_mul(bad)
+
+
+def test_every_value_lives_at_its_container_conductor():
+    # values given at conductors 1, 3 and 5 are stored at the container's,
+    # and so is every value of every result, across conductors 3 and 15
+    g = FiniteAbelianGroup([3])
+    s0, s1, s2 = g.elements()
+    chi0, chi1, chi2 = dual_enumerate(g)
+    zeta5 = root_of_unity(5)
+    r = resolvend(GroupMap(g, 15, {s0: 0, s1: Fraction(2, 3), s2: root_of_unity(3)}))
+    r3 = GroupRingElement(g, 3, {s0: 1, s1: 0, s2: Fraction(-1, 2)})
+    phi = CharacterVector(g, 15, {chi0: 2, chi1: root_of_unity(3), chi2: Fraction(1, 2)})
+    results = (
+        r, r3, phi, r + r3, -r3, r3 * zeta5, zeta5 * r3, r3 * s1, r * r3, r3 * r,
+        phi.pointwise_mul(transform(r3)), phi.pointwise_inverse(), transform(r3),
+        inverse_transform(phi), resolvend(inverse_transform(phi)),
+    )
+    for x in results:
+        assert {v.conductor for v in x.values.values()} == {x.conductor}, x
+    x = WildElement(
+        7,
+        {
+            WildMonomial.one(): Fraction(1, 2),
+            WildMonomial.symbol(1): root_of_unity(7, 3),
+            WildMonomial.symbol(2, power=3): 2,
+        },
+    )
+    for w in (x, x + x, -x, x * x, tau_action(2, x), omega_action(3, x)):
+        assert {c.conductor for c in w.coeffs.values()} == {7}, w
 
 
 def test_containers_share_one_repr():

@@ -52,6 +52,13 @@ def test_pairing_even_order_rejected():
     assert pairing(g.character((1,)), g.element((0,))) == 0
 
 
+def test_pairing_rejects_an_element_of_another_group():
+    # groups are canonical, so a character of Z/9 has no pairing with Z/3
+    g3, g9 = FiniteAbelianGroup((3,)), FiniteAbelianGroup((9,))
+    with pytest.raises(ValueError, match="does not live on"):
+        pairing(g9.character((1,)), g3.element((1,)))
+
+
 def test_stickelberger_map_z3():
     g = FiniteAbelianGroup((3,))
     chi = g.character((1,))

@@ -69,6 +69,9 @@ _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
 _ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
 _SCALARS = "tests/test_cyclotomic.py::test_field_scalars_have_one_owner"
+_CONTAINER_CONDUCTOR = (
+    "tests/test_groupring.py::test_every_value_lives_at_its_container_conductor"
+)
 _PAIRING_ROW = "tests/test_stickelberger.py::test_pairing_row_matches_pairing"
 _MAP_SUM = "tests/test_stickelberger.py::test_stickelberger_map_matches_fraction_sum"
 _MERGE = "tests/test_stickelberger.py::test_combinations_merge_and_cancel"
@@ -212,13 +215,6 @@ MUTANTS = (
         (_TRANSFORM, _KERNEL),
     ),
     Mutant(
-        "dft-input-wrap-sign-flipped",
-        "groupring.py",
-        "map(operator.sub, vec[:m], vec[m:])",
-        "map(operator.add, vec[:m], vec[m:])",
-        (_TRANSFORM, _KERNEL),
-    ),
-    Mutant(
         "dft-rotation-wrap-unsigned",
         "groupring.py",
         "(lambda v: [-c for c in v])",
@@ -242,8 +238,8 @@ MUTANTS = (
     Mutant(
         "resolvent-sign-flipped",
         "groupring.py",
-        "row = [-char_exponent(group, chi, s) for s in group.elements()]",
-        "row = [char_exponent(group, chi, s) for s in group.elements()]",
+        "row = [-e for e in char_table(group)[chi.index]]",
+        "row = char_table(group)[chi.index]",
         (_ROUNDTRIP,),
     ),
     Mutant(
@@ -312,13 +308,6 @@ MUTANTS = (
         (_MUL_ROWS,),
     ),
     Mutant(
-        "ring-matrix-key-drops-conductor",
-        "groupring.py",
-        "key = (k, m)",
-        "key = k",
-        (_RING_PRODUCT,),
-    ),
-    Mutant(
         "runner-one-suite-stamp",
         "suites.py",
         "ReportRecord(name, *row)",
@@ -345,6 +334,13 @@ MUTANTS = (
         "if conductor % value.conductor:",
         "if value.conductor % conductor:",
         (_SCALARS,),
+    ),
+    Mutant(
+        "as-cyclo-keeps-own-conductor",
+        "cyclotomic.py",
+        "return value.raise_conductor(conductor)",
+        "return value",
+        (_CONTAINER_CONDUCTOR,),
     ),
     Mutant(
         "pairing-row-wrong-character",
