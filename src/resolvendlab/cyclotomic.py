@@ -7,6 +7,8 @@ the common content, so equality of values is equality of tuples.  Roots
 for different conductors are compatible through zeta_{mn}^n = zeta_m; mixed
 binary operations raise both operands to the lcm conductor first.
 
+Phi_m is prod over d | m of (x^d - 1)^mu(m/d), multiplied out and divided
+exactly, one formula with no recursion over divisors.
 Coefficients are integer vectors over one denominator, and from_terms,
 which builds every sum of roots of unity, takes integer terms the same way;
 only the constructor and from_rational read Fractions.  A product is one
@@ -14,9 +16,10 @@ schoolbook pass over the nonzero coefficients (_polymul_int).  _reduce is
 the one reduction mod Phi_m: it takes integer terms (c, e), of a sum of
 roots of unity or of a product, buckets the exponents mod m (x^m = 1) and
 adds one cached sparse row x^k mod Phi_m per bucket k >= phi(m); there is
-no second reduction loop.  _mul_rows(b) is the matrix of multiplication by
-b, built column by column from row 0 of the same cache, for products that
-meet one operand many times (the group-ring product).  _pack/_unpack,
+no second reduction loop.  _mul_rows(m, b) is the matrix of multiplication
+by the integer vector b in Q(zeta_m), built column by column from row 0 of
+the same cache, for products that meet one operand many times (the
+group-ring product, which passes its integral lifts).  _pack/_unpack,
 the one fixed-width slot packing, serve the padic product and pi-digits
 and the gauss power sums in Z[y]/(Phi_n(y^p)); no product here packs.
 _power is the one square-and-multiply of all three rings.  Inverses are
@@ -32,7 +35,7 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, lcm
 
-from .numutil import divisor_list, euler_phi
+from .numutil import euler_phi, factorize
 
 def _as_fraction(c):
     if isinstance(c, Fraction):
@@ -81,39 +84,28 @@ def _polymul_int(a, b):
     return out
 
 
-def _polydiv_exact(num, den):
-    """Exact division of integer polynomials, den monic; raises if inexact."""
-    num = list(num)
-    dd = len(den) - 1
-    den_nz = [(i, c) for i, c in enumerate(den[:-1]) if c]
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            out[k - dd] = c
-            num[k] = 0
-            for i, di in den_nz:
-                num[k - dd + i] -= c * di
-    if any(num):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
     """Integer coefficients of the m-th cyclotomic polynomial, low degree first.
 
-    Computed by dividing x^m - 1 by Phi_d for every proper divisor d, which
-    feeds the same cache recursively.  The fill is idempotent, so a race of
-    first calls is harmless.
+    Phi_m = prod over d | m of (x^d - 1)^mu(m/d): the factors with mu = 1
+    are multiplied in by one shift-and-subtract each, then those with
+    mu = -1 divided out exactly, q_i = q_{i-d} - p_i.
     """
     if m < 1:
         raise ValueError("conductor must be positive, got %r" % (m,))
-    if m == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in divisor_list(m)[:-1]:
-        poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
+    mobius = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of m
+    for p, _ in factorize(m):
+        mobius += [(e * p, -mu) for e, mu in mobius]
+    times = [m // e for e, mu in mobius if mu == 1]
+    over = [m // e for e, mu in mobius if mu == -1]
+    poly = [1]
+    for d in times:
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in over:
+        poly = [-c for c in poly[: len(poly) - d]]
+        for i in range(d, len(poly)):
+            poly[i] += poly[i - d]
     return tuple(poly)
 
 
@@ -178,20 +170,20 @@ def _reduce(m, terms):
     return num
 
 
-def _mul_rows(b):
-    """The integer matrix of multiplication by b.num on the power basis of
-    Q(zeta_m), m = b.conductor, as phi(m) rows: rows[i][j] is the coefficient
-    of z^i in z^j * b.num, so sum(map(mul, rows[i], a)) is coefficient i of
-    a * b.num mod Phi_m, with no product or reduction left to do.
+def _mul_rows(m, b):
+    """The integer matrix of multiplication by the integer vector b on the
+    power basis of Q(zeta_m), as phi(m) rows: rows[i][j] is the coefficient
+    of z^i in z^j * b, so sum(map(mul, rows[i], a)) is coefficient i of
+    a * b mod Phi_m, with no product or reduction left to do.
 
-    Column 0 is b.num; each later column is the one before times z, shifted
+    Column 0 is b; each later column is the one before times z, shifted
     up one place with its top coefficient folded back through x^phi mod
     Phi_m, row 0 of _reduction_rows.
     """
-    col = list(b.num)
+    col = list(b)
     cols = [col]
     if len(col) > 1:
-        tail = _reduction_rows(b.conductor)[0]
+        tail = _reduction_rows(m)[0]
         for _ in range(len(col) - 1):
             top = col[-1]
             col = [0] + col[:-1]

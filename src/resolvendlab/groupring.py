@@ -12,10 +12,13 @@ vectors are one keyed container over either the elements or the characters.
 One conductor rule: a container stores every value at its own conductor
 (cyclotomic._as_cyclo), and _GroupIndexed._build puts every sum, scale,
 shift, product and pointwise result over the lcm of its operands' conductors.
-The ring product raises both operands to that lcm, lifts each over the lcm
-of its denominators and scales each output once by 1/(d_a d_b); each inner
-lift becomes its multiplication matrix (cyclotomic._mul_rows), so a pair
-product is phi integer dot products, put in the slot abelian.mul_table names.
+_lift is the one integral form of the product and the transform kernel: it
+lazily yields each value raised to a conductor as integer numerators over
+the lcm of the denominators.  The ring product reads both operands through
+it at the lcm of their conductors, makes each inner lift its multiplication
+matrix (cyclotomic._mul_rows), so a pair product is phi integer dot
+products, put in the slot abelian.mul_table names, and puts d_a d_b back in
+one _canonical per output.
 transform and inverse_transform are one separable kernel (_dft): CRT
 prime-power axes, summed axis by axis by signed rotations in Z[x]/(x^M -+ 1),
 |G| sum(q) rotate-and-add passes, not |G|^2 terms.  An element holds its
@@ -137,42 +140,41 @@ class GroupRingElement(_GroupIndexed):
             return self._build(1, dict(zip([elements[k] for k in row], self.values.values())))
         if not self._same(other):
             return NotImplemented
-        # an operand below the pair conductor n is raised once, as a
-        # container, so every value meets the others at n.  Over integral
-        # lifts every pair product and sum has den 1, so none needs a gcd;
-        # one scale per output puts the denominators back.  Each inner lift
-        # meets the outer ones through its multiplication matrix, so a pair
+        # both operands are read as integral lifts at the pair conductor n,
+        # so every pair product and sum has den 1 and needs no gcd; one
+        # _canonical per output puts d_a d_b back.  Each inner lift meets
+        # the outer ones through its multiplication matrix, so a pair
         # product is phi(n) integer dot products, no polynomial product
         table = mul_table(self.group)
         n = lcm(self.conductor, other.conductor)
-        da, lifted_a = _lift(self._build(n, self.values))
-        db, lifted_b = _lift(other._build(n, other.values))
-        matrices = [(k, _mul_rows(ct)) for k, ct in lifted_b]
+        da, nums_a = _lift(self, n)
+        db, nums_b = _lift(other, n)
+        matrices = [(k, _mul_rows(n, b)) for k, b in enumerate(nums_b) if any(b)]
         out = [CycloElement.zero(n)] * len(elements)
-        for i, cs in lifted_a:
-            row = table[i]
-            a = cs.num
-            for k, rows in matrices:
-                prod = [sum(map(operator.mul, r, a)) for r in rows]
-                st = row[k]
-                out[st] = out[st] + _canonical(n, prod, 1)
-        scale = Fraction(1, da * db)
-        return self._build(n, {s: v * scale for s, v in zip(elements, out)})
+        for i, a in enumerate(nums_a):
+            if any(a):
+                row = table[i]
+                for k, rows in matrices:
+                    prod = [sum(map(operator.mul, r, a)) for r in rows]
+                    st = row[k]
+                    out[st] = out[st] + _canonical(n, prod, 1)
+        den = da * db
+        return self._build(n, {s: _canonical(n, v.num, den) for s, v in zip(elements, out)})
 
     __rmul__ = __mul__
 
 
-def _lift(x):
-    """(den, pairs): den is the lcm of the denominators of x's values, and
-    pairs yields the (j, x(s) * den), all integral, for the j-th key s with
-    x(s) != 0, each lifted as it is drawn.  den / v.den is an integer, so
-    the lift scales v's numerators and needs no gcd."""
-    den = lcm(*(v.den for v in x.values.values()))
-    return den, (
-        (j, _canonical(v.conductor, [c * (den // v.den) for c in v.num], 1))
-        for j, v in enumerate(x.values.values())
-        if v
-    )
+def _lift(x, n):
+    """(den, nums): the integral form of x's values at conductor n, a
+    multiple of x.conductor.  den is the lcm of the values' denominators,
+    and nums lazily yields, in key order, each value raised to n as its
+    integer numerators over den.  A raised value's denominator divides its
+    own, so den // v.den is exact and the lift needs no gcd.  The product
+    and the transform kernel read values through this one lift."""
+    values = x.values.values()
+    den = lcm(*(v.den for v in values))
+    raised = (v.raise_conductor(n) for v in values)
+    return den, ([c * (den // v.den) for c in v.num] for v in raised)
 
 
 class CharacterVector(_GroupIndexed):
@@ -214,18 +216,18 @@ def _dft(x, den_scale):
     Q(zeta_N), N = x.conductor, <k, j> = prod over the factors d of
     zeta_d^(k_i j_i): the sums of transform and of inverse_transform.
 
-    Values are dense integer lists over one denominator in Z[x]/(x^M - 1),
-    M = N, or for even N in Z[x]/(x^M + 1), M = N/2, so zeta_N^r is a signed
-    rotation, and a value's phi(N) <= M coefficients fill its first slots.
+    Values are their _lift, dense integer lists over one denominator, read
+    in one pass in Z[x]/(x^M - 1), M = N, or for even N in Z[x]/(x^M + 1),
+    M = N/2, so zeta_N^r is a signed rotation, and a value's phi(N) <= M
+    coefficients fill its first slots.
     Each factor d splits by CRT into prime-power axes q, and zeta_d^(e k j),
     e = 1 mod q and 0 mod d/q, reads k, j mod q only: each fiber of q slots
     along an axis is replaced by its q rotated sums.
     """
     n = x.conductor
     m = n // 2 if n % 2 == 0 else n
-    values = x.values.values()
-    den = lcm(*(v.den for v in values))
-    vecs = [[den // v.den * c for c in v.num] + [0] * (m - len(v.num)) for v in values]
+    den, nums = _lift(x, n)
+    vecs = [num + [0] * (m - len(num)) for num in nums]
     signed = (lambda v: v) if m == n else (lambda v: [-c for c in v])
     radix = len(vecs)
     for d in x.group.invariant_factors:

@@ -254,15 +254,15 @@ def transpose_apply(g, psi):
     Integer exponents multiply directly.  A fractional q_s is only allowed
     when the value supports exact fractional powers (formal monomials whose
     exponents are divisible enough, the p-th power situation); otherwise the
-    virtual character is outside the determinant kernel and this raises.
+    virtual character is outside the determinant kernel and this raises, as
+    it does when psi lives on another group than g.
     """
+    if psi.group is not g.group:
+        raise ValueError("virtual character %r does not live on %r" % (psi, g.group))
     theta = stickelberger_map(psi)
     sample = next(iter(g.values.values()))
     result = sample**0
-    for s in g.group.elements():
-        q = theta[s]
-        if not q:
-            continue
+    for s, q in theta.coeffs.items():
         v = g(s)
         if q.denominator == 1:
             result = result * v ** int(q)

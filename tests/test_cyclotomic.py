@@ -55,6 +55,16 @@ def test_cyclotomic_polynomial():
     assert len(cyclotomic_polynomial(35)) == 25
 
 
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    # x^m - 1 = prod over d | m of Phi_d, a route that uses no Moebius sign
+    for m in range(1, 301):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = _polymul_nested(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (m - 1) + [1]
+
+
 def test_root_of_unity_basics():
     one = root_of_unity(1, 0)
     assert one.as_rational() == 1
@@ -476,7 +486,7 @@ def test_mul_rows_match_product(m):
                 CycloElement(m, [rng.randrange(-(2**bits), 2**bits) for _ in range(phi)])
                 for _ in range(2)
             )
-            rows = _mul_rows(b)
+            rows = _mul_rows(b.conductor, b.num)
             assert len(rows) == phi and all(len(row) == phi for row in rows)
             assert [sum(x * y for x, y in zip(row, a.num)) for row in rows] == list(
                 (b * a).num

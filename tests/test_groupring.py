@@ -352,6 +352,28 @@ def test_ring_product_of_divisor_conductor_values_matches_per_pair_reference():
     assert (a * b).conductor == 15
 
 
+def test_ring_product_makes_no_cyclo_product(monkeypatch):
+    # the pair products are integer dot products and the denominators go
+    # back in one _canonical per output, so no CycloElement product runs,
+    # also when both operands carry denominators and different conductors
+    rng = random.Random("lift-no-product")
+    g = FiniteAbelianGroup((3, 3))
+    a = _with_rationals(rng, resolvend(_random_map(rng, g, 3)), 0.4)
+    b = _with_rationals(rng, resolvend(_random_map(rng, g, 6)), 0.4)
+    want = [(x, y, _per_pair_product(x, y)) for x, y in ((a, b), (b, a), (a, a))]
+
+    def product(self, other):
+        raise AssertionError("CycloElement product")
+
+    monkeypatch.setattr(CycloElement, "__mul__", product)
+    monkeypatch.setattr(CycloElement, "__rmul__", product)
+    with pytest.raises(AssertionError):
+        root_of_unity(3) * root_of_unity(3)
+    for x, y, ref in want:
+        assert max(v.den for v in x.values.values()) > 1
+        assert (x * y).values == ref.values
+
+
 def test_ring_product_with_an_all_zero_operand():
     rng = random.Random("lift-zero")
     g = FiniteAbelianGroup((3, 3))

@@ -21,7 +21,7 @@ from resolvendlab.stickelberger import (
     stickelberger_map,
     transpose_apply,
 )
-from resolvendlab.wildsym import WildElement, WildMonomial
+from resolvendlab.wildsym import WildContext, WildElement, WildMonomial
 
 
 def test_pairing_identity():
@@ -368,6 +368,16 @@ def test_transpose_apply_rejects_outside_kernel():
     gmap = EquivariantMap(g, -1, values)
     with pytest.raises(ValueError):
         transpose_apply(gmap, VirtualCharacter.single(chi))
+
+
+def test_transpose_apply_rejects_a_character_of_another_group():
+    g, h = FiniteAbelianGroup((3,)), FiniteAbelianGroup((9,))
+    gmap = EquivariantMap(g, -1, {s: CycloElement.one(3) for s in g.elements()})
+    with pytest.raises(ValueError):
+        transpose_apply(gmap, VirtualCharacter.single(h.character((1,))))
+    ctx = WildContext(7, 3)
+    with pytest.raises(ValueError):
+        transpose_apply(ctx.g, VirtualCharacter.single(h.character((1,))))
 
 
 def test_equivariant_map_requires_total_values():

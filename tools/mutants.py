@@ -60,11 +60,19 @@ _POINTWISE_LCM = "tests/test_groupring.py::test_pointwise_mul_lives_over_the_lcm
 _CONVOLUTION = "tests/test_groupring.py::test_convolution_diagonalization"
 _RING_PRODUCT = "tests/test_groupring.py::test_ring_product_matches_per_pair_reference"
 _KERNEL = "tests/test_groupring.py::test_kernel_matches_character_table_route"
+_RING_DIVISOR = (
+    "tests/test_groupring.py::"
+    "test_ring_product_of_divisor_conductor_values_matches_per_pair_reference"
+)
 _RESOLVENT_2N = "tests/test_groupring.py::test_resolvent_matches_transform_at_twice_the_exponent"
 _MUL_TABLE = "tests/test_groupring.py::test_mul_table_matches_the_group_law"
 _MEMO = "tests/test_groupring.py::test_transform_memo_belongs_to_its_element"
 _NONUNITS = "tests/test_groupring.py::test_reduced_equal_rejects_nonunits"
 _MUL_ROWS = "tests/test_cyclotomic.py::test_mul_rows_match_product"
+_PHI_PRODUCT = "tests/test_cyclotomic.py::test_cyclotomic_polynomials_multiply_to_x_m_minus_1"
+_TRANSPOSE_GROUP = (
+    "tests/test_stickelberger.py::test_transpose_apply_rejects_a_character_of_another_group"
+)
 _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
 _ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
@@ -291,13 +299,20 @@ MUTANTS = (
         "groupring.py",
         "[c * (den // v.den) for c in v.num]",
         "list(v.num)",
-        (_RING_PRODUCT,),
+        (_RING_PRODUCT, _KERNEL),
+    ),
+    Mutant(
+        "ring-lift-unraised",
+        "groupring.py",
+        "(v.raise_conductor(n) for v in values)",
+        "iter(values)",
+        (_RING_DIVISOR,),
     ),
     Mutant(
         "ring-scale-one-side",
         "groupring.py",
-        "Fraction(1, da * db)",
-        "Fraction(1, da)",
+        "den = da * db",
+        "den = da",
         (_RING_PRODUCT,),
     ),
     Mutant(
@@ -306,6 +321,20 @@ MUTANTS = (
         "return tuple(zip(*cols))",
         "return tuple(cols)",
         (_MUL_ROWS,),
+    ),
+    Mutant(
+        "phi-mobius-parity-swapped",
+        "cyclotomic.py",
+        "if mu == 1]\n    over = [m // e for e, mu in mobius if mu == -1]",
+        "if mu == -1]\n    over = [m // e for e, mu in mobius if mu == 1]",
+        (_PHI_PRODUCT,),
+    ),
+    Mutant(
+        "transpose-group-unchecked",
+        "stickelberger.py",
+        "if psi.group is not g.group:",
+        "if False:",
+        (_TRANSPOSE_GROUP,),
     ),
     Mutant(
         "runner-one-suite-stamp",
