@@ -314,10 +314,11 @@ def reduced_equal(r1, r2):
 
 
 def unit_pair_check(a):
-    """True when (a|chi) * (a|chi^{-1}) is nonzero for every character."""
-    group = a.group
-    for chi in dual_enumerate(group):
-        prod = resolvent(a, chi) * resolvent(a, chi.inverse())
-        if prod.is_zero():
+    """True when (a|chi) * (a|chi^{-1}) is nonzero for every pair {chi, chi^{-1}}."""
+    for chi in dual_enumerate(a.group):
+        inv = chi.inverse()
+        if inv.index < chi.index:
+            continue
+        if (resolvent(a, chi) * resolvent(a, inv)).is_zero():
             return False
     return True

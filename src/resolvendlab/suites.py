@@ -238,13 +238,7 @@ def run_gauss(config):
         coherence_cap = min(pmax, 13)
     cases = []
     for p in primes:
-        orders = divisor_list(p - 1)
-        if config.n is not None:
-            if config.n not in orders:
-                raise ValueError(
-                    "n must divide p - 1 = %d, got %d" % (p - 1, config.n)
-                )
-            orders = [config.n]
+        orders = divisor_list(p - 1) if config.n is None else [_layer(p, config.n)[1]]
         cases += [(p, n) for n in orders]
     if config.n != 1:  # a valuation case runs, the first at primes[0]
         _valuation_precision(config.precision, primes[0])
@@ -437,7 +431,7 @@ def _wild_pair_rows(p, n):
 
 
 def _wild_product_rows(p, ns):
-    for coords, mono, ok in product_contexts([WildContext(p, n) for n in ns]):
+    for coords, mono, ok in product_contexts(p, ns):
         case = "product:p%d:r%d:k%s" % (
             p,
             len(ns),

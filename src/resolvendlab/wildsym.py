@@ -10,8 +10,10 @@ map, alpha averages one orbit of monomials, and each character sum over the
 tau orbit must collapse to a single coefficient-1 monomial that equals the
 transpose evaluation of the map g built from p-th powers of the symbols.
 
-WildContext builds what depends only on (p, n, tag) once: the p summand
-monomials, alpha, g and the orbit sums; no check rebuilds any of it.
+Monomials are canonical (one object per exponent tuple, so equality is
+identity).  WildContext builds what depends only on (p, n, tag) once: the p
+summand monomials, alpha, g and the orbit sums; product_contexts builds each
+of its r tagged contexts once, and no check rebuilds any of it.
 """
 
 from __future__ import annotations
@@ -35,13 +37,17 @@ class VerificationError(ArithmeticError):
     """A computed object violated an identity that is supposed to hold."""
 
 
+_MONOMIALS = {}  # sorted exponent tuple -> the one WildMonomial
+
+
 class WildMonomial:
     """Laurent monomial in symbols y_i, possibly from several tagged
-    families; multiplication adds exponents.  Immutable and hashable."""
+    families; multiplication adds exponents.  Canonical: one object per
+    exponent tuple, so equality is identity."""
 
     __slots__ = ("exponents",)
 
-    def __init__(self, exponents=()):
+    def __new__(cls, exponents=()):
         items = exponents.items() if isinstance(exponents, dict) else exponents
         acc = {}
         for key, e in items:
@@ -50,7 +56,13 @@ class WildMonomial:
             if e:
                 k = (operator.index(tag), operator.index(i))
                 acc[k] = acc.get(k, 0) + e
-        self.exponents = tuple(sorted((k, e) for k, e in acc.items() if e))
+        canon = tuple(sorted((k, e) for k, e in acc.items() if e))
+        mono = object.__new__(cls)
+        mono.exponents = canon
+        return _MONOMIALS.setdefault(canon, mono)
+
+    def __reduce__(self):  # copy and pickle give back the one instance
+        return WildMonomial, (self.exponents,)
 
     @classmethod
     def one(cls):
@@ -70,7 +82,9 @@ class WildMonomial:
     def __mul__(self, other):
         if not isinstance(other, WildMonomial):
             return NotImplemented
-        return WildMonomial(tuple(self.exponents) + tuple(other.exponents))
+        if not self.exponents or not other.exponents:
+            return self if self.exponents else other
+        return WildMonomial(self.exponents + other.exponents)
 
     def __pow__(self, e):
         e = operator.index(e)
@@ -91,12 +105,6 @@ class WildMonomial:
                 )
             scaled.append((k, int(e)))
         return WildMonomial(tuple(scaled))
-
-    def __eq__(self, other):
-        return isinstance(other, WildMonomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
 
     def __str__(self):
         if not self.exponents:
@@ -316,23 +324,20 @@ def transpose_eval_g(ctx, k):
     return transpose_apply(ctx.g, VirtualCharacter.single(ctx.character(k)))
 
 
-def product_contexts(ctxs):
-    """Composite decomposition check over G = (Z/p)^r.
+def product_contexts(p, orders):
+    """Composite decomposition check over G = (Z/p)^r, r = len(orders).
 
-    Contexts are retagged 1..r so their symbol families stay disjoint.  For
-    every character (k_1, ..., k_r) three objects must agree: the product of
-    the per-context collapsed resolvents, the product of the per-context
-    transpose evaluations, and the direct transpose evaluation on G of the
-    composite map supported on the coordinate axes.  Returns one
-    (coords, monomial, pass) row per character.
+    Context i is built once, for the i-th order with tag i, so the r symbol
+    families stay disjoint.  For every character (k_1, ..., k_r) three
+    objects must agree: the product of the per-context collapsed resolvents,
+    the product of the per-context transpose evaluations, and the direct
+    transpose evaluation on G of the composite map supported on the
+    coordinate axes.  Returns one (coords, monomial, pass) row per character.
     """
-    if not ctxs:
+    tagged = [WildContext(p, n, tag=idx) for idx, n in enumerate(orders, 1)]
+    if not tagged:
         raise ValueError("need at least one context")
-    p = ctxs[0].p
-    if any(c.p != p for c in ctxs):
-        raise ValueError("mixed primes in product: %r" % [c.p for c in ctxs])
-    tagged = [WildContext(p, c.n, tag=idx + 1) for idx, c in enumerate(ctxs)]
-    r = len(tagged)
+    p, r = tagged[0].p, len(tagged)
     big = FiniteAbelianGroup([p] * r)
     values = {}
     for s in big.elements():

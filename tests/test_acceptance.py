@@ -245,8 +245,8 @@ def test_criterion_06_wild_decomposition(acceptance_log):
 
 def test_criterion_07_product_assembly(acceptance_log):
     t0 = time.perf_counter()
-    rows9 = product_contexts([WildContext(3, 2), WildContext(3, 2)])
-    rows49 = product_contexts([WildContext(7, 2), WildContext(7, 3)])
+    rows9 = product_contexts(3, [2, 2])
+    rows49 = product_contexts(7, [2, 3])
     ok = len(rows9) == 9 and all(good for _, _, good in rows9)
     ok = ok and len(rows49) == 49 and all(good for _, _, good in rows49)
     _finish(acceptance_log, 7, "two-factor product assembly at p = 3, 7", ok, time.perf_counter() - t0)

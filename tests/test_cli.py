@@ -6,6 +6,7 @@ import pytest
 
 from resolvendlab import suites
 from resolvendlab.cli import build_parser, main
+from resolvendlab.gauss import _layer
 from resolvendlab.suites import CITATIONS, SUITES, ReportRecord, SuiteConfig, run
 
 
@@ -148,6 +149,16 @@ def test_nonpositive_trials_exit_2_before_any_row(capsys, name):
     assert main(["verify", name, "--group", "3", "--trials", "-2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "trials" in err
+
+
+@pytest.mark.parametrize("flag", ["--p", "--pmax"])
+def test_gauss_n_must_divide_every_swept_p_minus_1(capsys, flag):
+    # the rule and its message belong to gauss._layer; --pmax 7 fails at p = 3
+    assert main(["verify", "gauss", flag, "7", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    with pytest.raises(ValueError) as info:
+        _layer(7 if flag == "--p" else 3, 4)
+    assert out == "" and err == "error: %s\n" % info.value
 
 
 def test_every_citation_is_emitted():

@@ -201,6 +201,41 @@ def test_is_unit():
     assert unit_pair_check(GroupMap.indicator(g, 9, g.identity()))
 
 
+@pytest.mark.parametrize("literal", ["15", "30"])
+def test_unit_pair_check_takes_each_inverse_pair_once(monkeypatch, literal):
+    g = FiniteAbelianGroup.from_literal(literal)
+    chars = dual_enumerate(g)
+    seen = []
+    real = groupring.resolvent
+
+    def counting(a, chi):
+        seen.append(chi)
+        return real(a, chi)
+
+    monkeypatch.setattr(groupring, "resolvent", counting)
+    assert unit_pair_check(GroupMap.indicator(g, g.exponent, g.identity()))
+    self_inverse = sum(chi.inverse() is chi for chi in chars)
+    assert len(seen) <= len(chars) + self_inverse
+    assert set(seen) == set(chars)
+
+
+def test_unit_pair_check_sees_a_zero_at_a_self_inverse_character(monkeypatch):
+    g = FiniteAbelianGroup((30,))
+    (order_two,) = [
+        chi for chi in dual_enumerate(g) if chi.inverse() is chi and not chi.is_identity()
+    ]
+    real = groupring.resolvent
+
+    def vanishing(a, chi):
+        value = real(a, chi)
+        return value * 0 if chi is order_two else value
+
+    unit = GroupMap.indicator(g, 30, g.identity())
+    assert unit_pair_check(unit)
+    monkeypatch.setattr(groupring, "resolvent", vanishing)
+    assert not unit_pair_check(unit)
+
+
 def test_unit_inverse():
     rng = random.Random("units")
     g = FiniteAbelianGroup((15,))

@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from resolvendlab import cyclotomic, wildsym
+from resolvendlab import cyclotomic, suites, wildsym
 from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.numutil import divisor_list
 from resolvendlab.wildsym import (
@@ -241,25 +243,116 @@ def test_transpose_eval():
 
 
 def test_product_contexts_single():
-    rows = product_contexts([WildContext(3, 2)])
+    rows = product_contexts(3, [2])
     assert len(rows) == 3
     assert all(ok for _, _, ok in rows)
 
 
 def test_product_contexts_pairs():
-    rows = product_contexts([WildContext(3, 2), WildContext(3, 2)])
+    rows = product_contexts(3, [2, 2])
     assert len(rows) == 9
     assert all(ok for _, _, ok in rows)
-    rows = product_contexts([WildContext(7, 2), WildContext(7, 3)])
+    rows = product_contexts(7, [2, 3])
     assert len(rows) == 49
     assert all(ok for _, _, ok in rows)
     coords = {c for c, _, _ in rows}
     assert len(coords) == 49
 
 
-def test_product_contexts_rejects_mixed_primes():
+def test_product_contexts_rejects_bad_orders():
     with pytest.raises(ValueError):
-        product_contexts([WildContext(3, 2), WildContext(5, 2)])
+        product_contexts(3, [])
+    with pytest.raises(ValueError):
+        product_contexts(3, [2, 4])
+    with pytest.raises(ValueError):
+        product_contexts(9, [2])
+
+
+def test_product_contexts_tag_each_family():
+    # slot i carries tag i + 1, and a slot contributes symbols exactly when
+    # its k is nonzero, so equal orders never merge their families
+    for coords, mono, ok in product_contexts(7, (2, 2)):
+        assert ok
+        tags = {tag for (tag, _), _ in mono.exponents}
+        assert tags == {i + 1 for i, k in enumerate(coords) if k}
+
+
+def test_product_rows_build_each_context_once(monkeypatch):
+    built = []
+    init = WildContext.__init__
+
+    def counting(self, p, n, tag=0):
+        built.append((p, n, tag))
+        init(self, p, n, tag)
+
+    monkeypatch.setattr(WildContext, "__init__", counting)
+    rows = list(suites._wild_product_rows(7, (2, 3)))
+    assert len(rows) == 49 and all(row[2] for row in rows)
+    assert built == [(7, 2, 1), (7, 3, 2)]
+
+
+def test_monomials_are_canonical():
+    m = WildMonomial({(0, 1): 1, (0, 2): 1})
+    assert m.exponents == (((0, 1), 1), ((0, 2), 1))
+    same = [
+        WildMonomial({(0, 2): 1, (0, 1): 1}),  # dict, unsorted
+        WildMonomial((((0, 2), 1), ((0, 1), 1))),  # iterable, unsorted
+        WildMonomial(iter([((0, 1), 3), ((0, 2), 1), ((0, 1), -2)])),  # split
+        WildMonomial({(0, 1): 1, (0, 3): 0, (0, 2): 1, (1, 4): 0}),  # zeros
+        WildMonomial([((0, 5), 2), ((0, 1), 1), ((0, 5), -2), ((0, 2), 1)]),
+        WildMonomial.symbol(2) * WildMonomial.symbol(1),
+        (m**3).frac_pow(Fraction(1, 3)),
+    ]
+    assert all(x is m for x in same)
+    one = WildMonomial.one()
+    assert WildMonomial() is WildMonomial({}) is WildMonomial({(0, 1): 0}) is one
+    assert m * m.inverse() is one and m**0 is one
+    assert WildMonomial.symbol(2, tag=1) is not WildMonomial.symbol(2)
+
+
+def test_monomial_copies_are_the_one_instance():
+    m = WildMonomial.symbol(3, tag=2) * WildMonomial.symbol(1) ** -4
+    for mono in (m, WildMonomial.one()):
+        assert copy.copy(mono) is mono
+        assert copy.deepcopy(mono) is mono
+        assert pickle.loads(pickle.dumps(mono)) is mono
+    x = WildElement.monomial(7, m, root_of_unity(7, 2))
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_monomial_equality_is_identity():
+    assert "__eq__" not in vars(WildMonomial) and "__hash__" not in vars(WildMonomial)
+    assert WildMonomial.__eq__ is object.__eq__
+    assert WildMonomial.__hash__ is object.__hash__
+
+
+def test_transpose_eval_g_multiplies_by_one_without_canonicalising(monkeypatch):
+    # g is the monomial 1 off n of its p values, so most products in the
+    # transpose evaluation have 1 on one side; none of them may construct
+    p, n = 13, 4
+    ctx = WildContext(p, n)
+    made = []
+    new, mul = WildMonomial.__new__, WildMonomial.__mul__
+
+    def counting(cls, exponents=()):
+        made.append(exponents)
+        return new(cls, exponents)
+
+    with_one = []
+
+    def product(a, b):
+        before = len(made)
+        out = mul(a, b)
+        if a.is_one() or b.is_one():
+            with_one.append(len(made) - before)
+        return out
+
+    monkeypatch.setattr(WildMonomial, "__new__", counting)
+    monkeypatch.setattr(WildMonomial, "__mul__", product)
+    for k in range(p):
+        assert transpose_eval_g(ctx, k) is ctx.collapse_monomial(k)
+    assert len(with_one) >= p * (p - n - 1)
+    assert not any(with_one)
 
 
 def test_verification_error_type():

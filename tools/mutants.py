@@ -87,6 +87,12 @@ _CANONICAL = "tests/test_abelian.py::test_constructed_values_are_the_enumerated_
 _SUMMAND = "tests/test_wildsym.py::test_build_alpha_p7_summand"
 _RESOLVENT = "tests/test_wildsym.py::test_resolvent_at"
 _CONJUGATE = "tests/test_wildsym.py::test_conjugate_check"
+_MONO_CANONICAL = "tests/test_wildsym.py::test_monomials_are_canonical"
+_PRODUCT_TAGS = "tests/test_wildsym.py::test_product_contexts_tag_each_family"
+_PAIR_ZERO = (
+    "tests/test_groupring.py::"
+    "test_unit_pair_check_sees_a_zero_at_a_self_inverse_character"
+)
 
 MUTANTS = (
     Mutant(
@@ -454,6 +460,27 @@ MUTANTS = (
         "operator.index(k) * ctx.d",
         "operator.index(k) * ctx.d_inv",
         (_CONJUGATE,),
+    ),
+    Mutant(
+        "wild-intern-raw-exponents",
+        "wildsym.py",
+        "return _MONOMIALS.setdefault(canon, mono)",
+        "return _MONOMIALS.setdefault(tuple(items), mono)",
+        (_MONO_CANONICAL,),
+    ),
+    Mutant(
+        "wild-product-tag-dropped",
+        "wildsym.py",
+        "WildContext(p, n, tag=idx)",
+        "WildContext(p, n)",
+        (_PRODUCT_TAGS,),
+    ),
+    Mutant(
+        "pair-check-skips-self-inverse",
+        "groupring.py",
+        "if inv.index < chi.index:",
+        "if inv.index <= chi.index:",
+        (_PAIR_ZERO,),
     ),
 )
 
