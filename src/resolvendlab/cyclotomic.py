@@ -11,17 +11,18 @@ Phi_m is prod over d | m of (x^d - 1)^mu(m/d), multiplied out and divided
 exactly, one formula with no recursion over divisors.
 Coefficients are integer vectors over one denominator, and from_terms,
 which builds every sum of roots of unity, takes integer terms the same way;
-only the constructor and from_rational read Fractions.  A product is one
-schoolbook pass over the nonzero coefficients (_polymul_int).  _reduce is
-the one reduction mod Phi_m: it takes integer terms (c, e), of a sum of
-roots of unity or of a product, buckets the exponents mod m (x^m = 1) and
+only the constructor and from_rational read Fractions.  _mul_rows(m, b) is
+the one product kernel: the matrix of multiplication by the integer vector
+b in Q(zeta_m), built column by column from row 0 of the reduction cache,
+so a product is phi(m) integer dot products, already reduced.  It serves
+CycloElement products and the group-ring product, which passes its
+integral lifts.  _reduce is the one reduction mod Phi_m: it takes integer
+terms (c, e) of a sum of roots of unity or of a dense vector (a transform
+output or a gauss power sum), buckets the exponents mod m (x^m = 1) and
 adds one cached sparse row x^k mod Phi_m per bucket k >= phi(m); there is
-no second reduction loop.  _mul_rows(m, b) is the matrix of multiplication
-by the integer vector b in Q(zeta_m), built column by column from row 0 of
-the same cache, for products that meet one operand many times (the
-group-ring product, which passes its integral lifts).  _pack/_unpack,
-the one fixed-width slot packing, serve the padic product and pi-digits
-and the gauss power sums in Z[y]/(Phi_n(y^p)); no product here packs.
+no second reduction loop.  _pack/_unpack, the one fixed-width slot
+packing, serve the padic product and pi-digits and the gauss power sums
+in Z[y]/(Phi_n(y^p)); no product here packs.
 _power is the one square-and-multiply of all three rings.  Inverses are
 the product of the other Galois conjugates over the rational norm, so no
 arithmetic here works on Fraction polynomials.
@@ -32,7 +33,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import gcd, lcm
 
 from .numutil import euler_phi, factorize
@@ -70,18 +70,6 @@ def _unpack(x, length, nbytes):
     """The length slots of nbytes bytes of x >= 0, low slot first."""
     raw = x.to_bytes(length * nbytes, "little")
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-
-
-def _polymul_int(a, b):
-    """Product of two integer coefficient vectors (low degree first), by
-    schoolbook over the nonzero coefficients."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -340,8 +328,9 @@ class CycloElement:
         if pair is None:
             return NotImplemented
         a, b = pair
-        red = _reduce(a.conductor, zip(_polymul_int(a.num, b.num), count()))
-        return _canonical(a.conductor, red, a.den * b.den)
+        m = a.conductor
+        num = [sum(map(operator.mul, r, a.num)) for r in _mul_rows(m, b.num)]
+        return _canonical(m, num, a.den * b.den)
 
     __rmul__ = __mul__
 

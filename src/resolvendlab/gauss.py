@@ -31,6 +31,7 @@ from itertools import count
 from .cyclotomic import (
     CycloElement,
     _canonical,
+    _mul_rows,
     _pack,
     _power,
     _reduce,
@@ -310,16 +311,16 @@ def _block_rows(n):
     """Y^q mod Phi_n(Y) for phi(n) <= q < 2 phi(n), read by output digit.
 
     Entry i lists the (q, r), r != 0, with r the coefficient of Y^i in
-    Y^q; with it comes C = 1 + the largest l1 norm of an entry, so one block
-    reduction grows a slot by at most the factor C.
+    Y^q: row i of the multiplication matrix of Y^phi, whose column j is
+    Y^(phi + j).  With it comes C = 1 + the largest l1 norm of an entry, so
+    one block reduction grows a slot by at most the factor C.
     """
     phi = euler_phi(n)
-    cols = [[] for _ in range(phi)]
-    for q in range(phi, 2 * phi):
-        for i, r in enumerate(_reduce(n, ((1, q),))):
-            if r:
-                cols[i].append((q, r))
-    return tuple(map(tuple, cols)), 1 + max(sum(abs(r) for _, r in col) for col in cols)
+    cols = tuple(
+        tuple((phi + j, r) for j, r in enumerate(row) if r)
+        for row in _mul_rows(n, _reduce(n, ((1, phi),)))
+    )
+    return cols, 1 + max(sum(abs(r) for _, r in col) for col in cols)
 
 
 def _ring_power(vec, p, n, k):

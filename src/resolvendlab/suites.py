@@ -18,10 +18,10 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .abelian import FiniteAbelianGroup, char_exponent, dual_enumerate, element_order
-from .cyclotomic import CycloElement
+from .cyclotomic import _canonical
 from .gauss import (
     MultiplicativeCharacter,
     _layer,
@@ -41,6 +41,7 @@ from .groupring import (
     reduced_equal,
     resolvend,
     resolvend_to_map,
+    resolvent,
     transform,
     unit_inverse,
     unit_pair_check,
@@ -483,13 +484,10 @@ _GROUPRING_DEFAULT_GROUPS = ("3", "9", "3,3", "15", "2,4", "30")
 
 
 def _random_cyclo(rng, conductor):
-    return CycloElement(
-        conductor,
-        [
-            Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
-            for _ in range(euler_phi(conductor))
-        ],
-    )
+    # numerator, then denominator, per coefficient: the draw order reports pin
+    pairs = [(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in range(euler_phi(conductor))]
+    den = lcm(*(d for _, d in pairs))
+    return _canonical(conductor, [c * (den // d) for c, d in pairs], den)
 
 
 def _random_map(rng, group, conductor):
@@ -515,6 +513,9 @@ def _groupring_rows(literal, seed, trials):
         tr = transform(r)
         if inverse_transform(tr) != a:
             ok_round = False
+        # Def 3.4 itself, once: the kernel's transform is the resolvent at every character
+        if round_no == 0 and any(tr(chi) != resolvent(a, chi) for chi in dual_enumerate(group)):
+            ok_round = False
         r2 = GroupRingElement(
             group, N, {s: _random_cyclo(rng, N) for s in group.elements()}
         )
@@ -534,6 +535,12 @@ def _groupring_rows(literal, seed, trials):
             )
             if reduced_equal(r, r * shift) != shift:
                 ok_units = False
+    if group.order > 1:
+        # a fixed non-unit, delta_e - delta_s: both routes must reject it
+        e, s = group.elements()[:2]
+        non_unit = GroupMap.from_function(group, N, lambda t: int(t == e) - int(t == s))
+        if is_unit(resolvend(non_unit)) or unit_pair_check(non_unit):
+            ok_units = False
     yield "roundtrip:%s" % literal, "Def 3.4", ok_round, {
         "group": literal,
         "trials": trials,

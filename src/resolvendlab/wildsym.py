@@ -95,6 +95,8 @@ class WildMonomial:
 
     def frac_pow(self, q):
         """Exact fractional power; every scaled exponent must be integral."""
+        if not self.exponents:
+            return self
         q = q if isinstance(q, Fraction) else Fraction(q)
         scaled = []
         for k, v in self.exponents:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from resolvendlab.cyclotomic import (
     CycloElement,
     _mul_rows,
-    _polymul_int,
     _reduce,
     _reduction_rows,
     cyclotomic_polynomial,
@@ -488,8 +487,8 @@ def test_mul_rows_match_product(m):
             )
             rows = _mul_rows(b.conductor, b.num)
             assert len(rows) == phi and all(len(row) == phi for row in rows)
-            assert [sum(x * y for x, y in zip(row, a.num)) for row in rows] == list(
-                (b * a).num
+            assert [sum(x * y for x, y in zip(row, a.num)) for row in rows] == (
+                _reduce_descending(m, _polymul_nested(a.num, b.num))
             )
 
 
@@ -512,17 +511,19 @@ def _polymul_nested(a, b):
 
 
 @pytest.mark.parametrize("wide_bits", [1, 64, 3700, 20000])
-def test_polymul_int_matches_schoolbook_on_unbalanced_widths(wide_bits):
-    # one operand as wide as a unit-inverse value, the other 1-8 bits
+def test_product_matches_schoolbook_on_unbalanced_widths(wide_bits):
+    # one operand as wide as a unit-inverse value, the other 1-8 bits; a
+    # short operand is a full vector whose top coefficients are zero
     rng = random.Random("unbalanced:%d" % wide_bits)
-    shapes = [(1, 1), (8, 8), (14, 14), (1, 300), (15, 14), (15, 15), (20, 20), (24, 7)]
-    for la, lb in shapes:
+    shapes = [(1, 1, 1), (15, 8, 8), (29, 28, 28), (33, 20, 1), (56, 24, 7), (35, 24, 24)]
+    for m, la, lb in shapes:
+        phi = euler_phi(m)
         for narrow_bits in (1, 4, 8):
-            wide = _unbalanced(rng, la, wide_bits)
-            narrow = _unbalanced(rng, lb, narrow_bits)
-            want = _polymul_nested(wide, narrow)
-            assert _polymul_int(wide, narrow) == want
-            assert _polymul_int(narrow, wide) == want
+            wide = _unbalanced(rng, la, wide_bits) + [0] * (phi - la)
+            narrow = _unbalanced(rng, lb, narrow_bits) + [0] * (phi - lb)
+            want = tuple(_reduce_descending(m, _polymul_nested(wide, narrow)))
+            x, y = CycloElement(m, wide), CycloElement(m, narrow)
+            assert (x * y).num == (y * x).num == want
 
 
 def test_inverse_past_the_cutoff():

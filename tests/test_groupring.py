@@ -605,7 +605,9 @@ def test_transform_memo_belongs_to_its_element():
 
 def test_a_unit_round_transforms_each_element_once(monkeypatch):
     # a round transforms r, r2, r * r2 and the shift of r; is_unit,
-    # unit_inverse and reduced_equal reuse the transform of r
+    # unit_inverse and reduced_equal reuse the transform of r, and the
+    # roundtrip's resolvent check reads it too.  The fixed non-unit of the
+    # units record is the fifth element
     seen = []
     kernel = groupring._dft
 
@@ -618,4 +620,36 @@ def test_a_unit_round_transforms_each_element_once(monkeypatch):
     assert [row[2] for row in rows] == [True, True, True]
     assert rows[2][3]["units_seen"] == 1
     elements = [x for x in seen if isinstance(x, GroupRingElement)]
-    assert len({id(x) for x in elements}) == len(elements) == 4
+    assert len({id(x) for x in elements}) == len(elements) == 5
+
+
+def test_roundtrip_record_checks_the_transform_against_the_resolvent(monkeypatch):
+    # relabel chi -> conj(chi) on both sides of the kernel: transform then
+    # sums against conj(chi), inverse_transform undoes exactly that, and
+    # products still diagonalize; only the resolvent comparison sees it
+    kernel = groupring._dft
+
+    def relabelled(x, den_scale):
+        chars = dual_enumerate(x.group)
+        if isinstance(x, CharacterVector):
+            values = {chi: x.values[chi.inverse()] for chi in chars}
+            return kernel(CharacterVector(x.group, x.conductor, values), den_scale)
+        out = list(kernel(x, den_scale))
+        return iter([out[chi.inverse().index] for chi in chars])
+
+    assert [row[2] for row in suites._groupring_rows("15", 1, 2)] == [True, True, True]
+    monkeypatch.setattr(groupring, "_dft", relabelled)
+    rows = list(suites._groupring_rows("15", 1, 2))
+    assert [(row[0], row[2]) for row in rows] == [
+        ("roundtrip:15", False),
+        ("convolution:15", True),
+        ("units:15", True),
+    ]
+
+
+def test_units_record_rejects_a_pair_check_that_accepts_everything(monkeypatch):
+    # whatever the random rounds draw, delta_e - delta_s is not a unit
+    monkeypatch.setattr(suites, "unit_pair_check", lambda a: True)
+    for literal in ("3", "2,4"):
+        units = list(suites._groupring_rows(literal, 1, 1))[2]
+        assert units[0] == "units:%s" % literal and units[2] is False

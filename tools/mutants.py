@@ -39,7 +39,7 @@ _REDUCE = "tests/test_cyclotomic.py::test_reduce_matches_descending_reference"
 _ARITH = "tests/test_cyclotomic.py::test_arithmetic_matches_fraction_reference"
 _FROM_TERMS = "tests/test_cyclotomic.py::test_from_terms_and_mul_root"
 _ROOTS = "tests/test_cyclotomic.py::test_root_of_unity_basics"
-_POLYMUL = "tests/test_cyclotomic.py::test_polymul_int_matches_schoolbook_on_unbalanced_widths"
+_UNBALANCED = "tests/test_cyclotomic.py::test_product_matches_schoolbook_on_unbalanced_widths"
 _PADIC_MUL = "tests/test_padic.py::test_mul_and_pow_match_schoolbook"
 _PADIC_RING = "tests/test_padic.py::test_ring_axioms_random"
 _PACKED_MUL = "tests/test_padic.py::test_packed_product_matches_schoolbook"
@@ -138,11 +138,11 @@ MUTANTS = (
         (_REDUCE, _ARITH),
     ),
     Mutant(
-        "polymul-column-overwrites",
+        "product-operand-rotated",
         "cyclotomic.py",
-        "out[i + j] += ai * bj",
-        "out[i + j] = ai * bj",
-        (_ARITH, _POLYMUL),
+        "sum(map(operator.mul, r, a.num))",
+        "sum(map(operator.mul, r, a.num[1:] + a.num[:1]))",
+        (_ARITH, _UNBALANCED),
     ),
     Mutant(
         "padic-make-unreduced",
