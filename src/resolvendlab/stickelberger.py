@@ -8,6 +8,12 @@ group-ring element; that element is integral exactly when the virtual
 character lies in the kernel of the determinant map, and the transpose
 evaluation prod_s g(s)^{coefficient} exists under the same integrality, or
 when fractional exponents are absorbed by p-th power structure in g.
+
+The map and the determinant are column kernels: one dot product of the
+multiplicities per group element or per coordinate.  Results whose keys are
+distinct and coefficients canonical and nonzero by construction (the map,
+negation, the twist of a virtual character, and permute_powers after its
+unit check) skip the checked constructor through _SparseCombination._trusted.
 """
 
 from __future__ import annotations
@@ -30,9 +36,11 @@ class _SparseCombination:
     """Formal combination sum_k c_k k over one domain, stored sparsely.
 
     The domain is the group of the keys, or the prime p of a WildElement.
-    Each pair goes through the subclass's _coerce(domain, key, c), which
-    checks the key and returns the exact coefficient; equal keys merge and
-    zero coefficients drop out.
+    The constructor is the checked path: each pair goes through the
+    subclass's _coerce(domain, key, c), which checks the key and returns the
+    exact coefficient; equal keys merge and zero coefficients drop out.
+    _trusted stores a dict as it is and is only for results whose keys are
+    distinct and whose coefficients are canonical and nonzero.
     """
 
     __slots__ = ("_domain", "coeffs")
@@ -47,6 +55,15 @@ class _SparseCombination:
         self._domain = domain
         self.coeffs = {k: c for k, c in clean.items() if c}
 
+    @classmethod
+    def _trusted(cls, domain, coeffs):
+        """The combination with exactly these coefficients: no coercion, no
+        merge, no zero drop, and coeffs is stored without a copy."""
+        self = object.__new__(cls)
+        self._domain = domain
+        self.coeffs = coeffs
+        return self
+
     def _same_domain(self, other):
         return type(other) is type(self) and other._domain == self._domain
 
@@ -56,7 +73,7 @@ class _SparseCombination:
         return type(self)(self._domain, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __neg__(self):
-        return type(self)(self._domain, {k: -c for k, c in self.coeffs.items()})
+        return self._trusted(self._domain, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not self._same_domain(other):
@@ -124,10 +141,10 @@ class RationalGroupElement(_SparseCombination):
         return all(q.denominator == 1 for q in self.coeffs.values())
 
     def permute_powers(self, e):
-        """The coordinate permutation s -> s^e, gcd(e, exponent) = 1."""
-        return RationalGroupElement(
-            self.group, [(s**e, q) for s, q in self.coeffs.items()]
-        )
+        """The coordinate permutation s -> s^e; raises ValueError unless
+        gcd(e, exponent) = 1, where s -> s^e would merge coordinates."""
+        _check_unit(operator.index(e), self.group)
+        return self._trusted(self.group, {s**e: q for s, q in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -167,28 +184,40 @@ def _pairing_row(chi):
     return tuple(int(pairing(chi, s) * group.exponent) for s in group.elements())
 
 
+# the map's coefficients t/m repeat across calls; Fractions are immutable,
+# so one object per (t, m) can be shared
+_fraction = lru_cache(maxsize=1024)(Fraction)
+
+
 def stickelberger_map(psi):
-    """sum over s of (sum_chi n_chi * pairing(chi, s)) * s, for odd |G|."""
+    """sum over s of (sum_chi n_chi * pairing(chi, s)) * s, for odd |G|: the
+    coefficient at s is the multiplicities dotted with column s of the
+    pairing rows, over the group exponent."""
     group = psi.group
     if group.order % 2 == 0:
         raise ValueError("the map needs a group of odd order, got order %d" % group.order)
-    totals = [0] * group.order
-    for chi, n in psi.coeffs.items():
-        totals = [t + n * u for t, u in zip(totals, _pairing_row(chi))]
+    ns = list(psi.coeffs.values())
+    # star-args from a list, here and in det_map: CPython builds the argument
+    # tuple of a generator over-sized and shrinks it, and each such tuple,
+    # once freed, stays on the tuple free list (up to 2000 per size)
+    columns = zip(*[_pairing_row(chi) for chi in psi.coeffs])
     m = group.exponent
-    return RationalGroupElement(
-        group, [(s, Fraction(t, m)) for s, t in zip(group.elements(), totals) if t]
-    )
+    out = {}
+    for s, col in zip(group.elements(), columns):
+        t = sum(map(operator.mul, ns, col))
+        if t:
+            out[s] = _fraction(t, m)
+    return RationalGroupElement._trusted(group, out)
 
 
 def det_map(psi):
-    """The determinant character prod chi^{n_chi}."""
+    """The determinant character prod chi^{n_chi}: coordinate i is the
+    multiplicities dotted with the characters' i-th coordinates."""
     group = psi.group
-    coords = [0] * len(group.invariant_factors)
-    for chi, n in psi.coeffs.items():
-        for i, c in enumerate(chi.coords):
-            coords[i] += n * c
-    return Character(group, coords)
+    ns = list(psi.coeffs.values())
+    columns = zip(*[chi.coords for chi in psi.coeffs])
+    coords = [sum(map(operator.mul, ns, col)) for col in columns]
+    return Character(group, coords or [0] * len(group.invariant_factors))
 
 
 def in_S(psi):
@@ -205,7 +234,9 @@ def kappa_twist(u, x):
         return x**u
     if isinstance(x, VirtualCharacter):
         _check_unit(u, x.group)
-        return VirtualCharacter(x.group, [(chi**u, n) for chi, n in x.coeffs.items()])
+        # chi -> chi^u permutes the characters, so the keys stay distinct
+        twisted = {chi**u: n for chi, n in x.coeffs.items()}
+        return VirtualCharacter._trusted(x.group, twisted)
     if isinstance(x, GroupElement):
         m = _check_unit(u, x.group)
         return x ** pow(u, -1, m)
@@ -215,7 +246,7 @@ def kappa_twist(u, x):
 def _check_unit(u, group):
     m = group.exponent
     if gcd(u, m) != 1:
-        raise ValueError("twist unit %d is not invertible mod %d" % (u, m))
+        raise ValueError("%d is not invertible mod %d" % (u, m))
     return m
 
 

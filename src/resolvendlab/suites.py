@@ -15,7 +15,7 @@ produces byte-identical JSON.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from fractions import Fraction
 from math import gcd, lcm
@@ -97,17 +97,15 @@ CITATIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    suite: str
-    case: str
-    citation: str
-    passed: bool
-    witness: dict
+class ReportRecord(namedtuple("ReportRecord", "suite case citation passed witness")):
+    """One report row; immutable, and its citation must be registered."""
 
-    def __post_init__(self):
-        if self.citation not in CITATIONS:
-            raise ValueError("unregistered citation tag %r" % (self.citation,))
+    __slots__ = ()
+
+    def __new__(cls, suite, case, citation, passed, witness):
+        if citation not in CITATIONS:
+            raise ValueError("unregistered citation tag %r" % (citation,))
+        return super().__new__(cls, suite, case, citation, passed, witness)
 
     def to_json(self):
         return {
@@ -119,21 +117,21 @@ class ReportRecord:
         }
 
 
-@dataclass
 class SuiteConfig:
-    suite: str = "all"
-    pmax: int = 31
-    precision: int = 6
-    groups: tuple = ()
-    trials: int | None = None
-    seed: str = "resolvend"
-    p: int | None = None
-    n: int | None = None
-    product: int | None = None
-    max_order: int = 81
+    """The flags of one run; every attribute is a key of to_json()."""
 
-    def __post_init__(self):
-        self.groups = tuple(self.groups)
+    def __init__(self, suite="all", pmax=31, precision=6, groups=(), trials=None,
+                 seed="resolvend", p=None, n=None, product=None, max_order=81):
+        self.suite = suite
+        self.pmax = pmax
+        self.precision = precision
+        self.groups = tuple(groups)
+        self.trials = trials
+        self.seed = seed
+        self.p = p
+        self.n = n
+        self.product = product
+        self.max_order = max_order
 
     def to_json(self):
         return dict(vars(self), groups=list(self.groups))

@@ -228,7 +228,8 @@ class WildContext:
 
 def tau_action(j, x):
     """j-th power of the generator action: each monomial's coefficient is
-    multiplied by zeta_p^{j * weight}."""
+    multiplied by zeta_p^{j * weight}.  The keys are x's and a root of unity
+    keeps a coefficient nonzero, so the result is built trusted."""
     p = x.p
     j = operator.index(j) % p
     if j == 0:
@@ -239,7 +240,7 @@ def tau_action(j, x):
         if e:
             coeff = coeff.mul_root(e)
         out[mono] = coeff
-    return WildElement(p, out)
+    return WildElement._trusted(p, out)
 
 
 def omega_monomial(j, mono, p):
@@ -252,7 +253,8 @@ def omega_monomial(j, mono, p):
 
 def omega_action(j, x):
     """Permute symbol indices by i -> ij and twist coefficients by the
-    Galois map zeta -> zeta^j."""
+    Galois map zeta -> zeta^j.  Both are bijections, so the result is built
+    trusted."""
     p = x.p
     j = operator.index(j) % p
     if j == 0:
@@ -260,7 +262,7 @@ def omega_action(j, x):
     out = {}
     for mono, coeff in x.coeffs.items():
         out[omega_monomial(j, mono, p)] = galois_map(j, coeff)
-    return WildElement(p, out)
+    return WildElement._trusted(p, out)
 
 
 def build_alpha(ctx):

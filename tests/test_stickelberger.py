@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvendlab import suites
-from resolvendlab.abelian import FiniteAbelianGroup, dual_enumerate
+from resolvendlab.abelian import Character, FiniteAbelianGroup, dual_enumerate
 from resolvendlab.cyclotomic import CycloElement, galois_map, root_of_unity
 from resolvendlab.stickelberger import (
     EquivariantMap,
@@ -186,9 +186,8 @@ def test_pairing_row_matches_pairing(literal):
 
 
 @st.composite
-def _virtual_characters(draw):
+def _virtual_characters(draw, literals=("3", "9", "3,3", "7", "15", "3,9", "5,5")):
     # "3,3", "3,9" and "5,5" are not cyclic: their exponent is not their order
-    literals = ["3", "9", "3,3", "7", "15", "3,9", "5,5"]
     g = FiniteAbelianGroup.from_literal(draw(st.sampled_from(literals)))
     chars = dual_enumerate(g)
     vec = draw(st.lists(st.integers(-6, 6), min_size=len(chars), max_size=len(chars)))
@@ -206,6 +205,91 @@ def test_stickelberger_map_matches_fraction_sum(psi):
         if total:
             expected[s] = total
     assert stickelberger_map(psi).coeffs == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_virtual_characters(("3", "9", "3,3", "7", "15", "5,5")))
+def test_stickelberger_map_is_its_checked_combination(psi):
+    # the map builds its result trusted: feeding the same pairs through the
+    # checked constructor must change nothing, and no coefficient is zero
+    theta = stickelberger_map(psi)
+    assert all(type(q) is Fraction and q for q in theta.coeffs.values())
+    assert theta == RationalGroupElement(psi.group, list(theta.coeffs.items()))
+    assert psi.group.identity() not in theta.coeffs  # pairing(chi, 1) = 0
+
+
+def _det_by_characters(psi):
+    """The determinant by the per-character loop the column kernel replaced."""
+    coords = [0] * len(psi.group.invariant_factors)
+    for chi, n in psi.coeffs.items():
+        for i, c in enumerate(chi.coords):
+            coords[i] += n * c
+    return Character(psi.group, coords)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_virtual_characters())
+def test_det_map_matches_per_character_loop(psi):
+    assert det_map(psi) is _det_by_characters(psi)
+    zero = VirtualCharacter.zero(psi.group)
+    assert det_map(zero) is _det_by_characters(zero) is psi.group.character(
+        [0] * len(psi.group.invariant_factors)
+    )
+
+
+def test_det_map_on_the_trivial_group():
+    g = FiniteAbelianGroup(())
+    (chi,) = dual_enumerate(g)
+    assert det_map(VirtualCharacter.single(chi, 3)) is chi
+    assert det_map(VirtualCharacter.zero(g)) is chi
+
+
+def test_permute_powers_rejects_a_non_unit():
+    # on Z/9, s -> s^3 sends s, s^4 and s^7 to one element, so the values
+    # would merge; an exponent prime to 9 permutes the coordinates
+    g = FiniteAbelianGroup((9,))
+    theta = RationalGroupElement(g, [(s, Fraction(1, 3)) for s in g.elements()])
+    for e in (3, 0, -6, 9):
+        with pytest.raises(ValueError, match="not invertible mod 9"):
+            theta.permute_powers(e)
+    assert theta.permute_powers(2) == theta
+    assert theta.permute_powers(-1) == theta
+
+
+@pytest.mark.parametrize("literal", ["7", "13", "3,9"])
+def test_trusted_results_match_the_checked_constructor(literal):
+    # negation, the twist of a virtual character and permute_powers build
+    # their results trusted; the checked constructor on the per-term
+    # definition must give the same combination
+    g = FiniteAbelianGroup.from_literal(literal)
+    rng = random.Random("trusted-%s" % literal)
+    chars, elements = dual_enumerate(g), g.elements()
+    m = g.exponent
+    units = [u for u in range(2, m) if _gcd(u, m) == 1]
+    for _ in range(20):
+        psi = VirtualCharacter(
+            g, [(rng.choice(chars), rng.randrange(-3, 4)) for _ in range(5)]
+        )
+        theta = RationalGroupElement(
+            g,
+            [
+                (rng.choice(elements), Fraction(rng.randrange(-4, 5), rng.randrange(1, 6)))
+                for _ in range(5)
+            ],
+        )
+        for x in (psi, theta):
+            neg = -x
+            assert neg == type(x)(g, [(k, -c) for k, c in x.coeffs.items()])
+            assert all(neg.coeffs.values()) and (x + neg).is_zero()
+        u = rng.choice(units)
+        twisted = kappa_twist(u, psi)
+        assert twisted == VirtualCharacter(
+            g, [(chi**u, n) for chi, n in psi.coeffs.items()]
+        )
+        e = pow(u, -1, m)
+        assert theta.permute_powers(e) == RationalGroupElement(
+            g, [(s**e, q) for s, q in theta.coeffs.items()]
+        )
 
 
 def test_integrality_iff_kernel_random():

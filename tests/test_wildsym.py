@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from resolvendlab import cyclotomic, suites, wildsym
-from resolvendlab.cyclotomic import CycloElement, root_of_unity
+from resolvendlab.cyclotomic import CycloElement, galois_map, root_of_unity
 from resolvendlab.numutil import divisor_list
 from resolvendlab.wildsym import (
     VerificationError,
@@ -18,6 +18,7 @@ from resolvendlab.wildsym import (
     c_of,
     conjugate_check,
     omega_action,
+    omega_monomial,
     product_contexts,
     resolvent_at,
     tau_action,
@@ -139,6 +140,43 @@ def test_omega_composition_and_commutation():
         assert omega_action(j, tau_action(a, x)) == tau_action(
             a, omega_action(j, x)
         )
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_actions_match_the_checked_constructor(p):
+    # tau, omega and negation build their results trusted; the checked
+    # constructor on the per-term definition must give the same element,
+    # every coefficient nonzero and at conductor p
+    rng = random.Random("trusted-wild-%d" % p)
+    for _ in range(20):
+        terms = []
+        for _ in range(4):
+            mono = WildMonomial(
+                [((rng.randrange(2), rng.randrange(1, p)), rng.randrange(-2, 3))
+                 for _ in range(3)]
+            )
+            coeff = CycloElement.from_terms(
+                p,
+                [(rng.randrange(-3, 4), rng.randrange(p)) for _ in range(3)],
+                rng.randrange(1, 4),
+            )
+            terms.append((mono, coeff))
+        x = WildElement(p, terms)
+        j = rng.randrange(1, p)
+        tau = tau_action(j, x)
+        assert tau == WildElement(
+            p,
+            [(m, c * root_of_unity(p, j * m.weight(p))) for m, c in x.coeffs.items()],
+        )
+        omega = omega_action(j, x)
+        assert omega == WildElement(
+            p, [(omega_monomial(j, m, p), galois_map(j, c)) for m, c in x.coeffs.items()]
+        )
+        neg = -x
+        assert neg == WildElement(p, [(m, -c) for m, c in x.coeffs.items()])
+        for y in (tau, omega, neg):
+            assert len(y.coeffs) == len(x.coeffs)
+            assert all(c and c.conductor == p for c in y.coeffs.values())
 
 
 def test_build_alpha_p3():

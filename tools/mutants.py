@@ -93,6 +93,13 @@ _PAIR_ZERO = (
     "tests/test_groupring.py::"
     "test_unit_pair_check_sees_a_zero_at_a_self_inverse_character"
 )
+_MAP_CHECKED = (
+    "tests/test_stickelberger.py::test_stickelberger_map_is_its_checked_combination"
+)
+_DET_LOOP = "tests/test_stickelberger.py::test_det_map_matches_per_character_loop"
+_PERMUTE_UNIT = "tests/test_stickelberger.py::test_permute_powers_rejects_a_non_unit"
+_TRUSTED = "tests/test_stickelberger.py::test_trusted_results_match_the_checked_constructor"
+_WILD_TRUSTED = "tests/test_wildsym.py::test_actions_match_the_checked_constructor"
 
 MUTANTS = (
     Mutant(
@@ -404,6 +411,55 @@ MUTANTS = (
         "self.coeffs = {k: c for k, c in clean.items() if c}",
         "self.coeffs = clean",
         (_MERGE,),
+    ),
+    Mutant(
+        "map-keeps-zero-totals",
+        "stickelberger.py",
+        "if t:\n            out[s] = _fraction(t, m)",
+        "if True:\n            out[s] = _fraction(t, m)",
+        (_MAP_CHECKED,),
+    ),
+    Mutant(
+        "map-column-shift",
+        "stickelberger.py",
+        "zip(group.elements(), columns)",
+        "zip(group.elements()[1:] + group.elements()[:1], columns)",
+        (_MAP_SUM,),
+    ),
+    Mutant(
+        "det-map-column-shift",
+        "stickelberger.py",
+        "sum(map(operator.mul, ns, col)) for col in columns]",
+        "sum(map(operator.mul, ns[1:] + ns[:1], col)) for col in columns]",
+        (_DET_LOOP,),
+    ),
+    Mutant(
+        "permute-powers-unchecked",
+        "stickelberger.py",
+        "_check_unit(operator.index(e), self.group)",
+        "operator.index(e)",
+        (_PERMUTE_UNIT,),
+    ),
+    Mutant(
+        "twist-trusted-untwisted",
+        "stickelberger.py",
+        "twisted = {chi**u: n",
+        "twisted = {chi: n",
+        (_TRUSTED,),
+    ),
+    Mutant(
+        "negation-keeps-sign",
+        "stickelberger.py",
+        "{k: -c for k, c in self.coeffs.items()}",
+        "{k: c for k, c in self.coeffs.items()}",
+        (_TRUSTED, _WILD_TRUSTED),
+    ),
+    Mutant(
+        "wild-omega-unpermuted",
+        "wildsym.py",
+        "out[omega_monomial(j, mono, p)] = galois_map(j, coeff)",
+        "out[mono] = galois_map(j, coeff)",
+        (_WILD_TRUSTED,),
     ),
     Mutant(
         "ring-width-byte-short",
