@@ -21,8 +21,9 @@ terms (c, e) of a sum of roots of unity or of a dense vector (a transform
 output or a gauss power sum), buckets the exponents mod m (x^m = 1) and
 adds one cached sparse row x^k mod Phi_m per bucket k >= phi(m); there is
 no second reduction loop.  _pack/_unpack, the one fixed-width slot
-packing, serve the padic product and pi-digits and the gauss power sums
-in Z[y]/(Phi_n(y^p)); no product here packs.
+packing (unpacked by shift and mask), serve the padic product and
+pi-digits and the gauss power sums in Z[y]/(Phi_n(y^p)); no product here
+packs.
 _power is the one square-and-multiply of all three rings.  Inverses are
 the product of the other Galois conjugates over the rational norm, so no
 arithmetic here works on Fraction polynomials.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 
 from .numutil import euler_phi, factorize
@@ -61,15 +63,25 @@ def _pack(vec, nbytes):
     """vec, each entry in [0, 2^(8 nbytes)), in little-endian slots of one int.
 
     The one slot packing; its users are the padic product and pi_digits and
-    the gauss power sums.
+    the gauss power sums.  Each entry becomes its nbytes bytes in one map
+    over int.to_bytes, and the joined bytes one int.
     """
-    return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in vec), "little")
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, vec, repeat(nbytes), repeat("little"))), "little"
+    )
 
 
 def _unpack(x, length, nbytes):
-    """The length slots of nbytes bytes of x >= 0, low slot first."""
-    raw = x.to_bytes(length * nbytes, "little")
-    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    """The length slots of nbytes bytes of x >= 0, low slot first, each read
+    off x by one shift and mask, with no bytes round trip.
+
+    Raises OverflowError when x < 0 or x has bits above its length slots.
+    """
+    w = 8 * nbytes
+    if x < 0 or x >> (w * length):
+        raise OverflowError("value does not fit %d slots of %d bytes" % (length, nbytes))
+    mask = (1 << w) - 1
+    return [x >> s & mask for s in range(0, w * length, w)]
 
 
 @lru_cache(maxsize=None)

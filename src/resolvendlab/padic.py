@@ -6,15 +6,22 @@ here is that coefficient vector over Z/p^M.  Since pi = zeta - 1 satisfies
 (pi^{p-1}) = (p), coefficient-wise arithmetic mod p^M is exact mod
 pi^{(p-1)M}; valuations below that cap are exact, those at or above it are
 AT_CAP.  Products (folded mod x^p - 1) and pi-digits (a Taylor shift at
-2^w + 1) are one pass each over a big integer packed by cyclotomic._pack,
-the slot packing the gauss power sums use too; no cyclotomic product runs
-here, and only zeta_power and embed_cyclo use cyclotomic._reduce.
+2^w + 1) are one pass each over a big integer packed by cyclotomic._pack
+and read back by cyclotomic._unpack (one shift and mask per slot), the slot
+codec the gauss power sums use too.  A product's slot width depends only
+on (p, M), so an element packs once: its packed form is kept in _packed
+the first time it is a product operand and reused by every later product.
+pi_valuation reads the p-adic level off one gcd of the pi-digits.  No
+cyclotomic product runs here, and only zeta_power and embed_cyclo use
+cyclotomic._reduce.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import compress, count
+from math import gcd
 
 from .cyclotomic import _pack, _power, _reduce, _unpack
 from .numutil import least_primitive_root, odd_prime
@@ -54,14 +61,31 @@ def _make(p, precision, modulus, coeffs):
     x.p = p
     x.precision = precision
     x.modulus = modulus
-    x.coeffs = tuple(c % modulus for c in coeffs)
+    x.coeffs = tuple([c % modulus for c in coeffs])
+    x._packed = None
     return x
 
 
-class PadicCycloElement:
-    """Element of Z_p[zeta_p] mod p^M on the basis 1, zeta, ..., zeta^{p-2}."""
+@lru_cache(maxsize=256)
+def _mul_width(p, modulus):
+    """(nbytes, bits, mask) of the product in Z_p[zeta_p] mod modulus: slots
+    of nbytes bytes, and the bits and mask of the p slots that x^p = 1 folds.
+    A column of either sum holds at most p - 1 products of residues, so
+    2^(8 nbytes) > (p-1)(modulus-1)^2 keeps every slot from carrying."""
+    nbytes = ((p - 1) * (modulus - 1) ** 2).bit_length() // 8 + 1
+    bits = 8 * nbytes * p
+    return nbytes, bits, (1 << bits) - 1
 
-    __slots__ = ("p", "precision", "modulus", "coeffs")
+
+class PadicCycloElement:
+    """Element of Z_p[zeta_p] mod p^M on the basis 1, zeta, ..., zeta^{p-2}.
+
+    _packed is the coefficient vector packed at the product's slot width,
+    None until the element is first a product operand; equality, to_json
+    and str read only the coefficients.
+    """
+
+    __slots__ = ("p", "precision", "modulus", "coeffs", "_packed")
 
     def __init__(self, p, precision, coeffs):
         p = odd_prime(p)
@@ -73,6 +97,7 @@ class PadicCycloElement:
         self.precision = precision
         self.modulus = p**precision
         self.coeffs = tuple(c % self.modulus for c in coeffs)
+        self._packed = None
 
     @classmethod
     def zero(cls, p, precision):
@@ -118,19 +143,26 @@ class PadicCycloElement:
         return (-self) + other
 
     def __mul__(self, other):
-        """One packed product, folded mod x^p - 1 inside the big integer.  A
-        column of either sum holds at most p - 1 products of residues mod p^M,
-        so slots of w bits with 2^w > (p-1)(p^M-1)^2 never carry."""
+        """One big-integer product of the operands' packed forms (_mul_width
+        slots, so none carries), folded mod x^p - 1 inside the integer.  Each
+        operand packs on its first product and keeps the packed form."""
         if isinstance(other, int):
             return _make(self.p, self.precision, self.modulus, [c * other for c in self.coeffs])
         if not isinstance(other, PadicCycloElement):
             return NotImplemented
         self._check(other)
-        nbytes = ((self.p - 1) * (self.modulus - 1) ** 2).bit_length() // 8 + 1
-        x = _pack(self.coeffs, nbytes)
-        z = x * x if other is self else x * _pack(other.coeffs, nbytes)
-        bits = 8 * nbytes * self.p
-        z = (z & ((1 << bits) - 1)) + (z >> bits)  # x^p = 1
+        nbytes, bits, mask = _mul_width(self.p, self.modulus)
+        x = self._packed
+        if x is None:
+            x = self._packed = _pack(self.coeffs, nbytes)
+        if other is self:
+            z = x * x
+        else:
+            y = other._packed
+            if y is None:
+                y = other._packed = _pack(other.coeffs, nbytes)
+            z = x * y
+        z = (z & mask) + (z >> bits)  # x^p = 1
         *low, top = _unpack(z, self.p, nbytes)  # x^{p-1} = -(1 + x + ... + x^{p-2})
         return _make(self.p, self.precision, self.modulus, [c - top for c in low])
 
@@ -156,7 +188,7 @@ class PadicCycloElement:
         acc, w = 0, 8 * nbytes
         for c in reversed(self.coeffs):
             acc = (acc << w) + acc + c
-        return tuple(b % self.modulus for b in _unpack(acc, self.p - 1, nbytes))
+        return tuple([b % self.modulus for b in _unpack(acc, self.p - 1, nbytes)])
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -207,19 +239,23 @@ def pi_valuation(x):
 
     Writing x = sum b_k pi^k with b_k in Z_p, the candidate valuations
     (p-1)*v_p(b_k) + k are pairwise distinct mod p-1, so the minimum over
-    the digits visible mod p^M is the true valuation.  AT_CAP means every
-    digit vanished, i.e. v(x) >= (p-1)*M.
+    the digits visible mod p^M is the true valuation.  As k < p-1, that
+    minimum has the least level v = v_p(b_k), which is v_p of the gcd g of
+    the digits, and the least k whose digit is not divisible by p^(v+1):
+    it is (p-1)*v + k.  g = 0 (AT_CAP) means every digit vanished, i.e.
+    v(x) >= (p-1)*M.
     """
+    digits = x.pi_digits()
+    g = gcd(*digits)
+    if not g:
+        return AT_CAP
     p = x.p
-    vals = []
-    for k, b in enumerate(x.pi_digits()):
-        if b:
-            vp = 0
-            while b % p == 0:
-                b //= p
-                vp += 1
-            vals.append((p - 1) * vp + k)
-    return min(vals, default=AT_CAP)
+    v = 0
+    while g % p == 0:
+        g //= p
+        v += 1
+    q = p ** (v + 1)
+    return (p - 1) * v + next(compress(count(), map(q.__rmod__, digits)))
 
 
 @lru_cache(maxsize=256)

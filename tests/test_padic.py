@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -12,6 +14,7 @@ from resolvendlab.padic import (
     AT_CAP,
     PadicCycloElement,
     PrecisionError,
+    _make,
     embed_cyclo,
     pi_valuation,
     teichmuller,
@@ -305,3 +308,149 @@ def test_pack_unpack_round_trip(nbytes):
         vec[0], vec[-1] = top, 0  # a full low slot and an empty high slot
         assert _unpack(_pack(vec, nbytes), length, nbytes) == vec
     assert _pack([], nbytes) == 0 and _unpack(0, 3, nbytes) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 10])
+def test_unpack_rejects_a_value_outside_its_slots(nbytes):
+    length = 4
+    top = 1 << (8 * nbytes * length)
+    assert _unpack(top - 1, length, nbytes) == [256**nbytes - 1] * length
+    for bad in (-1, -top, top, top + 1, top << 8):
+        with pytest.raises(OverflowError):
+            _unpack(bad, length, nbytes)
+
+
+def _pi_valuation_reference(x):
+    """The least (p-1)*v_p(b_k) + k over the nonzero pi-digits b_k, digit by
+    digit; AT_CAP when every digit is zero."""
+    p = x.p
+    vals = []
+    for k, b in enumerate(x.pi_digits()):
+        if b:
+            vp = 0
+            while b % p == 0:
+                b //= p
+                vp += 1
+            vals.append((p - 1) * vp + k)
+    return min(vals, default=AT_CAP)
+
+
+def _from_pi_digits(p, M, digits):
+    """The element sum b_i pi^i, from pi^i = sum_j C(i, j) (-1)^(i-j) zeta^j."""
+    mod = p**M
+    n = p - 1
+    coeffs = [
+        sum(digits[i] * comb(i, j) * (-1) ** (i - j) for i in range(j, n)) % mod
+        for j in range(n)
+    ]
+    x = PadicCycloElement(p, M, coeffs)
+    assert x.pi_digits() == tuple(b % mod for b in digits)
+    return x
+
+
+def _unit(rng, p, mod):
+    u = rng.randrange(1, mod)
+    return u if u % p else u + 1
+
+
+@pytest.mark.parametrize("M", [1, 2, 6])
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 47])
+def test_pi_valuation_matches_per_digit_reference(p, M):
+    mod = p**M
+    n = p - 1
+    rng = random.Random("valuation-%d-%d" % (p, M))
+    cases = [([0] * n, AT_CAP), ([1] + [0] * (n - 1), 0)]
+    cases.append(([_unit(rng, p, mod)] + [rng.randrange(mod) for _ in range(n - 1)], 0))
+    for a in range(M):
+        for k in sorted({0, 1, n // 2, n - 1}):
+            # level a first reached at digit k, the digits before k one level
+            # higher: for k > 0 and a < M - 1 the first nonzero digit is not
+            # the one of least valuation
+            digits = [p ** (a + 1) * _unit(rng, p, mod) % mod for _ in range(k)]
+            digits.append(p**a * _unit(rng, p, mod) % mod)
+            digits += [p**a * rng.randrange(mod) % mod for _ in range(n - k - 1)]
+            cases.append((digits, (p - 1) * a + k))
+    for _ in range(12):
+        digits = [p ** rng.randrange(M + 1) * rng.randrange(mod) % mod for _ in range(n)]
+        cases.append((digits, None))
+    for digits, expect in cases:
+        x = _from_pi_digits(p, M, digits)
+        v = pi_valuation(x)
+        assert v == _pi_valuation_reference(x)
+        if expect is not None:
+            assert v == expect
+
+
+def _cache_filled(x):
+    x * x
+    assert x._packed is not None
+    return x
+
+
+@pytest.mark.parametrize("p, M", [(3, 2), (5, 1), (31, 6), (47, 6)])
+def test_products_do_not_depend_on_cache_state(p, M):
+    mod = p**M
+    rng = random.Random("cache-%d-%d" % (p, M))
+    va = [rng.randrange(mod) for _ in range(p - 1)]
+    vb = [rng.randrange(mod) for _ in range(p - 1)]
+
+    def ref(u, w):
+        return tuple(c % mod for c in _schoolbook_mul(p, u, w))
+
+    # (route, k): the route builds k times its vector; the int multiples are
+    # taken of elements whose own packed form is already filled
+    routes = [
+        (lambda v: PadicCycloElement(p, M, v), 1),
+        (lambda v: _make(p, M, mod, v), 1),
+        (lambda v: _cache_filled(PadicCycloElement(p, M, v)) * 2, 2),
+        (lambda v: 2 * _cache_filled(PadicCycloElement(p, M, v)), 2),
+    ]
+    for route, k in routes:
+        u, w = [k * c for c in va], [k * c for c in vb]
+        a, b = route(va), route(vb)
+        assert a._packed is None and b._packed is None
+        assert (a * b).coeffs == ref(u, w)
+        assert a._packed is not None and b._packed is not None
+        assert (a * a).coeffs == ref(u, u)  # other is self
+        assert (b * a).coeffs == ref(w, u)
+        assert (a * b).coeffs == ref(u, w)
+        # one operand filled, the other fresh, on either side
+        assert (a * route(vb)).coeffs == ref(u, w)
+        assert (route(va) * b).coeffs == ref(u, w)
+        assert (a * route(va)).coeffs == ref(u, u)
+        assert (a**3).coeffs == ref(ref(u, u), u)
+
+
+@pytest.mark.parametrize("fill", [False, True])
+def test_copy_and_pickle_round_trip(fill):
+    p, M = 7, 3
+    rng = random.Random("copy")
+    x = _random_padic(rng, p, M)
+    y = _random_padic(rng, p, M)
+    if fill:
+        _cache_filled(x)
+    square, product = (x * x).coeffs, (x * y).coeffs
+    clones = [copy.copy(x), copy.deepcopy(x)]
+    clones += [
+        pickle.loads(pickle.dumps(x, protocol))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for z in clones:
+        assert z is not x and z == x
+        assert (z.p, z.precision, z.modulus) == (x.p, x.precision, x.modulus)
+        assert (z * z).coeffs == square
+        assert (z * y).coeffs == product and (y * z).coeffs == product
+        assert z.to_json() == x.to_json()
+
+
+def test_eq_and_json_ignore_the_packed_form():
+    p, M = 5, 2
+    x = _cache_filled(PadicCycloElement(p, M, [1, 2, 3, 4]))
+    fresh = PadicCycloElement(p, M, [1, 2, 3, 4])
+    assert fresh._packed is None
+    assert x == fresh and fresh == x
+    assert x.to_json() == fresh.to_json() == {"p": 5, "M": 2, "coeffs": [1, 2, 3, 4]}
+    assert str(x) == str(fresh)
+    fresh._packed = x._packed + 1  # a wrong packed form is still not read
+    assert x == fresh and x.to_json() == fresh.to_json() and str(x) == str(fresh)
+    assert x != PadicCycloElement(p, M, [1, 2, 3, 0])

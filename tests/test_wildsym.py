@@ -13,6 +13,7 @@ from resolvendlab.wildsym import (
     WildContext,
     WildElement,
     WildMonomial,
+    _term,
     build_alpha,
     build_g,
     c_of,
@@ -219,6 +220,20 @@ def test_conjugate_check():
             assert all(
                 conjugate_check(c, j, k) for j in range(p) for k in range(p)
             )
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_trusted_term_is_the_checked_monomial(p):
+    # conjugate_check builds both of its sides by _term
+    ctx = WildContext(p, 1)
+    coeffs = [1, -1, Fraction(3, 7), root_of_unity(1, 0)]
+    coeffs += [root_of_unity(p, e) for e in range(p)]
+    for k in range(p):
+        mono = ctx.summand_monomial(k)
+        for coeff in coeffs:
+            term = _term(p, mono, coeff)
+            assert term == WildElement.monomial(p, mono, coeff)
+            assert term.coeffs[mono].conductor == p
 
 
 def test_context_objects_are_built_once(monkeypatch):

@@ -46,6 +46,9 @@ _PACKED_MUL = "tests/test_padic.py::test_packed_product_matches_schoolbook"
 _PI_DIGITS = "tests/test_padic.py::test_pi_digits_match_binomial_reference"
 _HAND_FOLD = "tests/test_padic.py::test_zeta_power_and_embedding_match_hand_fold"
 _EMBED = "tests/test_padic.py::test_embed_cyclo"
+_CACHE_STATE = "tests/test_padic.py::test_products_do_not_depend_on_cache_state"
+_VALUATION = "tests/test_padic.py::test_pi_valuation_matches_per_digit_reference"
+_UNPACK_GUARD = "tests/test_padic.py::test_unpack_rejects_a_value_outside_its_slots"
 _COHERENCE = "tests/test_gauss.py::test_backend_coherence"
 _RING_POWER = "tests/test_gauss.py::test_ring_power_matches_schoolbook"
 _SIGNED_BITS = "tests/test_gauss.py::test_signed_bits_brute_force"
@@ -154,15 +157,15 @@ MUTANTS = (
     Mutant(
         "padic-make-unreduced",
         "padic.py",
-        "x.coeffs = tuple(c % modulus for c in coeffs)",
+        "x.coeffs = tuple([c % modulus for c in coeffs])",
         "x.coeffs = tuple(coeffs)",
         (_PADIC_MUL, _PADIC_RING),
     ),
     Mutant(
         "padic-fold-dropped",
         "padic.py",
-        "z = (z & ((1 << bits) - 1)) + (z >> bits)",
-        "z = z & ((1 << bits) - 1)",
+        "z = (z & mask) + (z >> bits)",
+        "z = z & mask",
         (_PACKED_MUL,),
     ),
     Mutant(
@@ -171,6 +174,27 @@ MUTANTS = (
         "[c - top for c in low]",
         "low",
         (_PACKED_MUL,),
+    ),
+    Mutant(
+        "padic-cache-crossed",
+        "padic.py",
+        "y = other._packed\n",
+        "y = self._packed\n",
+        (_CACHE_STATE, _PACKED_MUL),
+    ),
+    Mutant(
+        "pi-valuation-level-off",
+        "padic.py",
+        "v = 0\n    while g % p == 0:",
+        "v = 1\n    while g % p == 0:",
+        (_VALUATION,),
+    ),
+    Mutant(
+        "unpack-overflow-unchecked",
+        "cyclotomic.py",
+        "if x < 0 or x >> (w * length):",
+        "if False:",
+        (_UNPACK_GUARD,),
     ),
     Mutant(
         "gauss-padic-top-dropped",
