@@ -21,9 +21,9 @@ terms (c, e) of a sum of roots of unity or of a dense vector (a transform
 output or a gauss power sum), buckets the exponents mod m (x^m = 1) and
 adds one cached sparse row x^k mod Phi_m per bucket k >= phi(m); there is
 no second reduction loop.  _pack/_unpack, the one fixed-width slot
-packing (unpacked by shift and mask), serve the padic product and
-pi-digits and the gauss power sums in Z[y]/(Phi_n(y^p)); no product here
-packs.
+packing (short ints unpacked by shift and mask, long ones through bytes),
+serve the padic product and pi-digits and the gauss power sums in
+Z[y]/(Phi_n(y^p)); no product here packs.
 _power is the one square-and-multiply of all three rings.  Inverses are
 the product of the other Galois conjugates over the rational norm, so no
 arithmetic here works on Fraction polynomials.
@@ -71,17 +71,26 @@ def _pack(vec, nbytes):
     )
 
 
-def _unpack(x, length, nbytes):
-    """The length slots of nbytes bytes of x >= 0, low slot first, each read
-    off x by one shift and mask, with no bytes round trip.
+_SHIFT_BYTES = 1024  # _unpack reads slots by shift and mask up to this size
 
-    Raises OverflowError when x < 0 or x has bits above its length slots.
+
+def _unpack(x, length, nbytes):
+    """The length slots of nbytes bytes of x >= 0, low slot first.
+
+    Up to _SHIFT_BYTES bytes in all, each slot is read off x by one shift
+    and mask.  Each shift copies the rest of x, so the cost grows as
+    length^2; past that size the slots are cut from one to_bytes instead,
+    which is linear.  Raises OverflowError when x < 0 or x has bits above
+    its length slots.
     """
     w = 8 * nbytes
     if x < 0 or x >> (w * length):
         raise OverflowError("value does not fit %d slots of %d bytes" % (length, nbytes))
-    mask = (1 << w) - 1
-    return [x >> s & mask for s in range(0, w * length, w)]
+    if length * nbytes <= _SHIFT_BYTES:
+        mask = (1 << w) - 1
+        return [x >> s & mask for s in range(0, w * length, w)]
+    raw = x.to_bytes(length * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
 @lru_cache(maxsize=None)

@@ -7,11 +7,9 @@ here is that coefficient vector over Z/p^M.  Since pi = zeta - 1 satisfies
 pi^{(p-1)M}; valuations below that cap are exact, those at or above it are
 AT_CAP.  Products (folded mod x^p - 1) and pi-digits (a Taylor shift at
 2^w + 1) are one pass each over a big integer packed by cyclotomic._pack
-and read back by cyclotomic._unpack (one shift and mask per slot), the slot
-codec the gauss power sums use too.  A product's slot width depends only
-on (p, M), so an element packs once: its packed form is kept in _packed
-the first time it is a product operand and reused by every later product.
-pi_valuation reads the p-adic level off one gcd of the pi-digits.  No
+and read back by cyclotomic._unpack, the slot codec the gauss power sums
+use too; a product's slot width depends only on (p, M) and is cached by
+it.  pi_valuation reads the p-adic level off one gcd of the pi-digits.  No
 cyclotomic product runs here, and only zeta_power and embed_cyclo use
 cyclotomic._reduce.
 """
@@ -62,7 +60,6 @@ def _make(p, precision, modulus, coeffs):
     x.precision = precision
     x.modulus = modulus
     x.coeffs = tuple([c % modulus for c in coeffs])
-    x._packed = None
     return x
 
 
@@ -78,14 +75,9 @@ def _mul_width(p, modulus):
 
 
 class PadicCycloElement:
-    """Element of Z_p[zeta_p] mod p^M on the basis 1, zeta, ..., zeta^{p-2}.
+    """Element of Z_p[zeta_p] mod p^M on the basis 1, zeta, ..., zeta^{p-2}."""
 
-    _packed is the coefficient vector packed at the product's slot width,
-    None until the element is first a product operand; equality, to_json
-    and str read only the coefficients.
-    """
-
-    __slots__ = ("p", "precision", "modulus", "coeffs", "_packed")
+    __slots__ = ("p", "precision", "modulus", "coeffs")
 
     def __init__(self, p, precision, coeffs):
         p = odd_prime(p)
@@ -97,7 +89,6 @@ class PadicCycloElement:
         self.precision = precision
         self.modulus = p**precision
         self.coeffs = tuple(c % self.modulus for c in coeffs)
-        self._packed = None
 
     @classmethod
     def zero(cls, p, precision):
@@ -143,25 +134,16 @@ class PadicCycloElement:
         return (-self) + other
 
     def __mul__(self, other):
-        """One big-integer product of the operands' packed forms (_mul_width
-        slots, so none carries), folded mod x^p - 1 inside the integer.  Each
-        operand packs on its first product and keeps the packed form."""
+        """One big-integer product of the operands packed in _mul_width slots
+        (so none carries), folded mod x^p - 1 inside the integer."""
         if isinstance(other, int):
             return _make(self.p, self.precision, self.modulus, [c * other for c in self.coeffs])
         if not isinstance(other, PadicCycloElement):
             return NotImplemented
         self._check(other)
         nbytes, bits, mask = _mul_width(self.p, self.modulus)
-        x = self._packed
-        if x is None:
-            x = self._packed = _pack(self.coeffs, nbytes)
-        if other is self:
-            z = x * x
-        else:
-            y = other._packed
-            if y is None:
-                y = other._packed = _pack(other.coeffs, nbytes)
-            z = x * y
+        x = _pack(self.coeffs, nbytes)
+        z = x * x if other is self else x * _pack(other.coeffs, nbytes)
         z = (z & mask) + (z >> bits)  # x^p = 1
         *low, top = _unpack(z, self.p, nbytes)  # x^{p-1} = -(1 + x + ... + x^{p-2})
         return _make(self.p, self.precision, self.modulus, [c - top for c in low])

@@ -145,7 +145,11 @@ class WildElement(_SparseCombination):
 
     @classmethod
     def monomial(cls, p, mono, coeff=1):
-        return cls(p, ((mono, coeff),))
+        """coeff * mono.  One term has nothing to merge, so once p and the
+        pair pass the constructor's checks it is stored trusted."""
+        p = odd_prime(p)
+        coeff = cls._coerce(p, mono, coeff)
+        return cls._trusted(p, {mono: coeff} if coeff else {})
 
     def __mul__(self, other):
         if isinstance(other, WildElement):
@@ -270,22 +274,15 @@ def build_alpha(ctx):
     return WildElement(ctx.p, ((m, Fraction(1, ctx.p)) for m in ctx.summands))
 
 
-def _term(p, mono, coeff):
-    """The one-term element coeff * mono for a nonzero coeff, built trusted:
-    WildElement.monomial without the checked constructor's merge."""
-    return WildElement._trusted(p, {mono: _as_cyclo(coeff, p)})
-
-
 def conjugate_check(ctx, j, k):
     """tau^j scales the k-th summand by exactly zeta^{jkd}.  The two sides
     differ in the exponent (the weight on the left, j*k*d on the right), not
-    in the kernel, so sharing from_terms keeps them independent.  Both sides
-    are one term with a nonzero coefficient, so each is built trusted."""
+    in the kernel, so sharing from_terms keeps them independent."""
     p = ctx.p
     mono = ctx.summand_monomial(k)
-    lhs = tau_action(j, _term(p, mono, 1))
+    lhs = tau_action(j, WildElement.monomial(p, mono))
     e = operator.index(j) * operator.index(k) * ctx.d
-    return lhs == _term(p, mono, root_of_unity(p, e))
+    return lhs == WildElement.monomial(p, mono, root_of_unity(p, e))
 
 
 def resolvent_at(ctx, k):

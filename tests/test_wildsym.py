@@ -13,7 +13,6 @@ from resolvendlab.wildsym import (
     WildContext,
     WildElement,
     WildMonomial,
-    _term,
     build_alpha,
     build_g,
     c_of,
@@ -223,17 +222,24 @@ def test_conjugate_check():
 
 
 @pytest.mark.parametrize("p", [3, 7, 13])
-def test_trusted_term_is_the_checked_monomial(p):
-    # conjugate_check builds both of its sides by _term
+def test_monomial_is_the_checked_one_term_element(p):
+    # monomial stores its one term trusted; the constructor merges and drops zeros
     ctx = WildContext(p, 1)
-    coeffs = [1, -1, Fraction(3, 7), root_of_unity(1, 0)]
+    coeffs = [0, 1, -1, Fraction(3, 7), root_of_unity(1, 0), CycloElement.zero(p)]
     coeffs += [root_of_unity(p, e) for e in range(p)]
     for k in range(p):
         mono = ctx.summand_monomial(k)
         for coeff in coeffs:
-            term = _term(p, mono, coeff)
-            assert term == WildElement.monomial(p, mono, coeff)
-            assert term.coeffs[mono].conductor == p
+            term = WildElement.monomial(p, mono, coeff)
+            checked = WildElement(p, ((mono, coeff),))
+            assert term == checked
+            assert term.coeffs == checked.coeffs
+            assert all(c.conductor == p for c in term.coeffs.values())
+    assert WildElement.monomial(p, ctx.summand_monomial(1), 0).coeffs == {}
+    with pytest.raises(TypeError):
+        WildElement.monomial(p, 1)
+    with pytest.raises(ValueError):
+        WildElement.monomial(9, ctx.summand_monomial(1))
 
 
 def test_context_objects_are_built_once(monkeypatch):
