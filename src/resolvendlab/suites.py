@@ -14,9 +14,10 @@ produces byte-identical JSON.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, starmap
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -220,11 +221,49 @@ def _gauss_rows(p, n, precision, deep, coherent):
         }
 
 
+def _gauss_shares(shares):
+    """Rows of each share of _gauss_rows arguments, from the first draw on: share 0
+    runs here while each later share runs in a forked child, which pickles back its
+    rows or the exception a case raised.  Every child is reaped however the stream ends."""
+    import pickle
+    import signal
+    children = []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves only through _exit: no atexit, no flush
+                try:
+                    try:
+                        out = None, list(chain.from_iterable(starmap(_gauss_rows, share)))
+                    except Exception as exc:
+                        out = exc, ()
+                    with os.fdopen(w, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        yield from chain.from_iterable(starmap(_gauss_rows, shares[0]))
+        for _, pipe in children:
+            error, rows = pickle.load(pipe)
+            if error is not None:
+                raise error
+            yield from rows
+    finally:
+        for pid, pipe in children:  # a child still running is cut short
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_gauss(config):
     """Identity sweep to pmax; valuations, character sums and power sums to
     min(pmax, 31); backend coherence to min(pmax, 13).  An explicit --p
     narrows the sweep to one prime and lifts both caps for it; --n narrows
-    to one character order, which must divide p - 1 for every swept p."""
+    to one character order, which must divide p - 1 for every swept p.
+    Primes are dealt in descending order, round-robin, into one share per
+    CPU; the caller runs share 0, and run sorts what every share yields."""
     pmax = config.pmax
     if pmax < 3:
         raise ValueError("pmax must be at least 3, got %d" % pmax)
@@ -238,13 +277,12 @@ def run_gauss(config):
     cases = []
     for p in primes:
         orders = divisor_list(p - 1) if config.n is None else [_layer(p, config.n)[1]]
-        cases += [(p, n) for n in orders]
+        cases.append([(p, n, config.precision, p <= deep_cap, p <= coherence_cap) for n in orders])
     if config.n != 1:  # a valuation case runs, the first at primes[0]
         _valuation_precision(config.precision, primes[0])
-    return chain.from_iterable(
-        _gauss_rows(p, n, config.precision, p <= deep_cap, p <= coherence_cap)
-        for p, n in cases
-    )
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    k = min(len(affinity(0)) if hasattr(os, "fork") else 1, len(primes))
+    return _gauss_shares([sum(cases[::-1][i::k], []) for i in range(k)])
 
 
 # -- stickelberger -------------------------------------------------------

@@ -248,11 +248,13 @@ def tau_action(j, x):
 
 
 def omega_monomial(j, mono, p):
-    """Index permutation i -> ij mod p on a bare monomial."""
+    """Index permutation i -> ij mod p on a bare monomial.  A bijection on reduced
+    indices, so a sort canonicalises; __new__ runs only for a monomial not yet made."""
     j = operator.index(j) % p
     if j == 0:
         raise ValueError("omega needs an index prime to p")
-    return WildMonomial(tuple(((tag, i * j % p), e) for (tag, i), e in mono.exponents))
+    canon = tuple(sorted(((tag, i * j % p), e) for (tag, i), e in mono.exponents))
+    return _MONOMIALS.get(canon) or WildMonomial(canon)
 
 
 def omega_action(j, x):

@@ -1,8 +1,12 @@
+import hashlib
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvendlab import gauss, suites
+from resolvendlab.cli import main
 from resolvendlab.cyclotomic import (
     CycloElement,
     _pack,
@@ -136,6 +140,69 @@ def test_valuation_at_the_bound_fails_above_n2(monkeypatch):
     valuations = [r for r in report["records"] if r["case"].startswith("valuation:")]
     assert {r["witness"]["n"] for r in valuations} == {2, 3, 6}
     assert all(r["pass"] == (r["witness"]["n"] == 2) for r in valuations)
+
+
+def _share_count(monkeypatch, k):
+    # run_gauss deals one share per CPU that os.sched_getaffinity reports
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "cpus, fork", [(1, True), (2, True), (3, True), (2, False)], ids=["1", "2", "3", "no-fork"]
+)
+def test_report_bytes_do_not_depend_on_the_share_count(monkeypatch, capsys, cpus, fork):
+    _share_count(monkeypatch, cpus)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    for argv, digest in (
+        ("verify gauss --pmax 13 --format json", "2a60d9eee1cdafe79bee80bd53bd7104"),
+        ("verify gauss --format json", "35a14807b256703499dff7413266e9a6"),
+    ):
+        assert main(argv.split()) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
+    _no_children()
+
+
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_an_error_in_any_share_comes_back_unchanged(monkeypatch, capsys, where):
+    # at 2 shares over --pmax 13 the caller runs {13, 7, 3} and a child {11, 5}
+    _share_count(monkeypatch, 2)
+    caller, bad_p = os.getpid(), {"child": 11, "caller": 7}[where]
+    real = suites.verify_translation
+
+    def broken(phi, j):
+        if phi.p == bad_p:
+            raise ValueError("boom in the %s" % ("caller" if os.getpid() == caller else "child"))
+        return real(phi, j)
+
+    monkeypatch.setattr(suites, "verify_translation", broken)
+    stream = suites.run_gauss(SuiteConfig(suite="gauss", pmax=13))
+    _no_children()  # nothing forks before the first draw
+    next(stream)
+    stream.close()  # a stream left unfinished reaps its children too
+    _no_children()
+    with pytest.raises(RuntimeError, match="a case raised ValueError: boom in the %s$" % where) as info:
+        main(["verify", "gauss", "--pmax", "13"])
+    assert type(info.value.__cause__) is ValueError
+    assert capsys.readouterr().err == ""
+    _no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_monkeypatches_reach_every_share(monkeypatch, cpus):
+    # as in test_valuation_at_the_bound_fails_above_n2; at 3 shares the
+    # primes 13..3 are dealt as {13, 5}, {11, 3}, {7}, and only p = 3 has no n > 2
+    _share_count(monkeypatch, cpus)
+    monkeypatch.setattr(suites, "gauss_valuation", lambda phi, j, M: (phi.p - 1) // phi.n)
+    report, code = run(SuiteConfig(suite="gauss", pmax=13))
+    assert code == 1
+    failed = {r["witness"]["p"] for r in report["records"] if not r["pass"]}
+    assert failed == {5, 7, 11, 13}
 
 
 def test_character_sum_identity():

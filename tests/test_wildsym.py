@@ -142,6 +142,24 @@ def test_omega_composition_and_commutation():
         )
 
 
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_omega_monomial_is_the_canonical_monomial(p):
+    # omega_monomial only sorts the permuted terms; the checked constructor
+    # on the same exponents must give the very same object, first call or not
+    rng = random.Random("omega-monomial-%d" % p)
+    for _ in range(20):
+        mono = WildMonomial(
+            [((rng.randrange(3), rng.randrange(p)), rng.randrange(-3, 4)) for _ in range(5)]
+        )
+        for j in range(1, p):
+            got = omega_monomial(j, mono, p)
+            assert got is WildMonomial([((t, i * j % p), e) for (t, i), e in mono.exponents])
+            assert omega_monomial(j, mono, p) is got
+    # an index past p meets another one: the terms merge, as in the constructor
+    wide = WildMonomial.symbol(1) * WildMonomial.symbol(p + 1)
+    assert omega_monomial(2, wide, p) is WildMonomial.symbol(2, power=2)
+
+
 @pytest.mark.parametrize("p", [7, 13])
 def test_actions_match_the_checked_constructor(p):
     # tau, omega and negation build their results trusted; the checked

@@ -78,6 +78,8 @@ _TRANSPOSE_GROUP = (
 )
 _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
+_SHARE_BYTES = "tests/test_gauss.py::test_report_bytes_do_not_depend_on_the_share_count"
+_SHARE_ERROR = "tests/test_gauss.py::test_an_error_in_any_share_comes_back_unchanged"
 _ODD_PRIME = "tests/test_numutil.py::test_odd_prime_entry_points_reject"
 _SCALARS = "tests/test_cyclotomic.py::test_field_scalars_have_one_owner"
 _CONTAINER_CONDUCTOR = (
@@ -386,6 +388,20 @@ MUTANTS = (
         "streams = [(name, SUITES[name](config)) for name in names]",
         "streams = ((name, SUITES[name](config)) for name in names)",
         (_CONFIG_FIRST,),
+    ),
+    Mutant(
+        "gauss-share-dropped",
+        "suites.py",
+        "for _, pipe in children:",
+        "for _, pipe in children[:-1]:",
+        (_SHARE_BYTES,),
+    ),
+    Mutant(
+        "gauss-child-error-swallowed",
+        "suites.py",
+        "raise error",
+        "rows = ()",
+        (_SHARE_ERROR,),
     ),
     Mutant(
         "odd-prime-admits-two",
