@@ -24,9 +24,10 @@ no second reduction loop.  _pack/_unpack, the one fixed-width slot
 packing (short ints unpacked by shift and mask, long ones through bytes),
 serve the padic product and pi-digits and the gauss power sums in
 Z[y]/(Phi_n(y^p)); no product here packs.
-_power is the one square-and-multiply of all three rings.  Inverses are
-the product of the other Galois conjugates over the rational norm, so no
-arithmetic here works on Fraction polynomials.
+_power is the one square-and-multiply, used by the padic ring and the
+gauss power sums; CycloElement takes no powers.  Inverses are the product
+of the other Galois conjugates over the rational norm, so no arithmetic
+here works on Fraction polynomials.
 """
 
 from __future__ import annotations
@@ -329,17 +330,6 @@ class CycloElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, CycloElement)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return _canonical(self.conductor, [-v for v in self.num], self.den)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
@@ -354,14 +344,6 @@ class CycloElement:
         return _canonical(m, num, a.den * b.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        k = operator.index(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return CycloElement.one(self.conductor)
-        return _power(self, k, operator.mul)
 
     def inverse(self):
         """Multiplicative inverse as adjugate over norm.
@@ -390,7 +372,7 @@ class CycloElement:
         a, b = (self, other) if self.conductor == other.conductor else self._pair(other)
         return a.num == b.num and a.den == b.den
 
-    def __str__(self):
+    def __repr__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
             if not c:
@@ -406,11 +388,6 @@ class CycloElement:
             parts.append(term)
         body = "".join(parts) if parts else "0"
         return "%s (conductor %d)" % (body, self.conductor)
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return [self.conductor, [[c.numerator, c.denominator] for c in self.coeffs]]
 
 
 def root_of_unity(conductor, k=1):

@@ -37,7 +37,6 @@ from .cyclotomic import (
     _reduce,
     _reduction_rows,
     _unpack,
-    root_of_unity,
 )
 from .numutil import discrete_log_table, euler_phi, odd_prime
 from .padic import (
@@ -72,10 +71,6 @@ class MultiplicativeCharacter:
     def __init__(self, p, n):
         self.p, self.n = _layer(p, n)
 
-    @property
-    def order(self):
-        return self.n
-
     def exponent_of(self, k):
         """t with phi(k) = zeta_{p-1}^t; k must be prime to p."""
         k %= self.p
@@ -83,21 +78,6 @@ class MultiplicativeCharacter:
             raise ValueError("phi(0) = 0 is not a root of unity")
         a = discrete_log_table(self.p)[k]
         return (a * ((self.p - 1) // self.n)) % (self.p - 1)
-
-    def value(self, k):
-        """phi(k) as an exact element of Q(zeta_{p-1}), zero at k = 0."""
-        if k % self.p == 0:
-            return CycloElement.zero(self.p - 1)
-        return root_of_unity(self.p - 1, self.exponent_of(k))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiplicativeCharacter)
-            and (self.p, self.n) == (other.p, other.n)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n))
 
     def __repr__(self):
         return "MultiplicativeCharacter(p=%d, n=%d)" % (self.p, self.n)
@@ -119,9 +99,6 @@ class ResidueSubgroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
 
     def __contains__(self, k):
         return operator.index(k) % self.p in self._members

@@ -10,8 +10,8 @@ so transform(resolvend(a)) evaluated at chi equals resolvent(a, chi), and
 inverse_transform undoes it.  Group maps, group-ring elements and character
 vectors are one keyed container over either the elements or the characters.
 One conductor rule: a container stores every value at its own conductor
-(cyclotomic._as_cyclo), and _GroupIndexed._build puts every sum, scale,
-shift, product and pointwise result over the lcm of its operands' conductors.
+(cyclotomic._as_cyclo), and _GroupIndexed._build puts every scale, shift,
+product and pointwise result over the lcm of its operands' conductors.
 _lift is the one integral form of the product and the transform kernel: it
 lazily yields each value raised to a conductor as integer numerators over
 the lcm of the denominators.  The ring product reads both operands through
@@ -90,22 +90,11 @@ class _GroupIndexed:
     def from_function(cls, group, conductor, fn):
         return cls(group, conductor, {k: fn(k) for k in cls._keys(group)})
 
-    @classmethod
-    def constant(cls, group, conductor, value):
-        return cls(group, conductor, {k: value for k in cls._keys(group)})
-
-    def to_json(self):
-        return [[list(k.coords), self.values[k].to_json()] for k in self._keys(self.group)]
-
 
 class GroupMap(_GroupIndexed):
     """A map a: G -> Q(zeta_N), the object resolvends are built from."""
 
     __slots__ = ()
-
-    @classmethod
-    def indicator(cls, group, conductor, s0):
-        return cls.from_function(group, conductor, lambda s: int(s == s0))
 
 
 class GroupRingElement(_GroupIndexed):
@@ -116,19 +105,6 @@ class GroupRingElement(_GroupIndexed):
     @classmethod
     def identity(cls, group, conductor):
         return cls.from_function(group, conductor, lambda s: int(s.is_identity()))
-
-    def __add__(self, other):
-        if not self._same(other):
-            return NotImplemented
-        return self._build(
-            other.conductor, {s: v + other.values[s] for s, v in self.values.items()}
-        )
-
-    def __neg__(self):
-        return self._build(1, {s: -v for s, v in self.values.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloElement)):

@@ -10,8 +10,7 @@ AT_CAP.  Products (folded mod x^p - 1) and pi-digits (a Taylor shift at
 and read back by cyclotomic._unpack, the slot codec the gauss power sums
 use too; a product's slot width depends only on (p, M) and is cached by
 it.  pi_valuation reads the p-adic level off one gcd of the pi-digits.  No
-cyclotomic product runs here, and only zeta_power and embed_cyclo use
-cyclotomic._reduce.
+cyclotomic product runs here, and only embed_cyclo uses cyclotomic._reduce.
 """
 
 from __future__ import annotations
@@ -91,21 +90,12 @@ class PadicCycloElement:
         self.coeffs = tuple(c % self.modulus for c in coeffs)
 
     @classmethod
-    def zero(cls, p, precision):
-        return cls(p, precision, (0,) * (p - 1))
-
-    @classmethod
     def from_int(cls, value, p, precision):
         return cls(p, precision, [operator.index(value)] + [0] * (p - 2))
 
     @classmethod
     def one(cls, p, precision):
         return cls.from_int(1, p, precision)
-
-    @classmethod
-    def zeta_power(cls, p, precision, e):
-        """zeta^e; the overflow exponent p-1 folds through Phi_p."""
-        return cls(p, precision, _reduce(p, ((1, e),)))
 
     def _check(self, other):
         if self.p != other.p or self.precision != other.precision:
@@ -121,17 +111,6 @@ class PadicCycloElement:
         return _make(self.p, self.precision, self.modulus, coeffs)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _make(self.p, self.precision, self.modulus, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, PadicCycloElement)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """One big-integer product of the operands packed in _mul_width slots
@@ -158,9 +137,6 @@ class PadicCycloElement:
             return PadicCycloElement.one(self.p, self.precision)
         return _power(self, k, operator.mul)
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def pi_digits(self):
         """Coefficients b_k of x = sum b_k pi^k (k < p-1) mod p^M, from the
         binomial change of basis zeta^i = (1 + pi)^i: b_k = sum_i C(i, k) c_i
@@ -183,7 +159,7 @@ class PadicCycloElement:
             and self.coeffs == other.coeffs
         )
 
-    def __str__(self):
+    def __repr__(self):
         digits = self.pi_digits()
         parts = []
         for k, b in enumerate(digits):
@@ -191,11 +167,6 @@ class PadicCycloElement:
                 parts.append("%d*pi^%d" % (b, k) if k else "%d" % b)
         body = " + ".join(parts) if parts else "O(pi^%d)" % ((self.p - 1) * self.precision)
         return "%s (p=%d, M=%d)" % (body, self.p, self.precision)
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return {"p": self.p, "M": self.precision, "coeffs": list(self.coeffs)}
 
 
 def teichmuller(k, p, precision):

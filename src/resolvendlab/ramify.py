@@ -46,15 +46,6 @@ class RamificationFiltration:
     def __len__(self):
         return len(self.orders)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RamificationFiltration)
-            and self.orders == other.orders
-        )
-
-    def __hash__(self):
-        return hash(self.orders)
-
     def __repr__(self):
         return "RamificationFiltration(%r)" % (self.orders,)
 

@@ -12,8 +12,8 @@ when fractional exponents are absorbed by p-th power structure in g.
 The map and the determinant are column kernels: one dot product of the
 multiplicities per group element or per coordinate.  Results whose keys are
 distinct and coefficients canonical and nonzero by construction (the map,
-negation, the twist of a virtual character, and permute_powers after its
-unit check) skip the checked constructor through _SparseCombination._trusted.
+and permute_powers after its unit check) skip the checked constructor
+through _SparseCombination._trusted.
 """
 
 from __future__ import annotations
@@ -67,24 +67,8 @@ class _SparseCombination:
     def _same_domain(self, other):
         return type(other) is type(self) and other._domain == self._domain
 
-    def __add__(self, other):
-        if not self._same_domain(other):
-            return NotImplemented
-        return type(self)(self._domain, [*self.coeffs.items(), *other.coeffs.items()])
-
-    def __neg__(self):
-        return self._trusted(self._domain, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not self._same_domain(other):
-            return NotImplemented
-        return self + (-other)
-
     def __eq__(self, other):
         return self._same_domain(other) and self.coeffs == other.coeffs
-
-    def is_zero(self):
-        return not self.coeffs
 
     def items(self):
         """The (key, coefficient) pairs sorted by key (coordinates, or
@@ -104,10 +88,6 @@ class VirtualCharacter(_SparseCombination):
         if chi.group != group:
             raise ValueError("character %r does not live on %r" % (chi, group))
         return operator.index(n)
-
-    @classmethod
-    def zero(cls, group):
-        return cls(group, {})
 
     @classmethod
     def single(cls, chi, multiplicity=1):
@@ -133,9 +113,6 @@ class RationalGroupElement(_SparseCombination):
             raise ValueError("element %r does not live on %r" % (s, group))
         return _as_fraction(q)
 
-    def __getitem__(self, s):
-        return self.coeffs.get(s, Fraction(0))
-
     def is_integral(self):
         """True when every coefficient is an integer."""
         return all(q.denominator == 1 for q in self.coeffs.values())
@@ -151,9 +128,6 @@ class RationalGroupElement(_SparseCombination):
             return "RationalGroupElement(0)"
         parts = ["%s*s%r" % (q, s.coords) for s, q in self.items()]
         return "RationalGroupElement(%s)" % " + ".join(parts)
-
-    def to_json(self):
-        return [[list(s.coords), q.numerator, q.denominator] for s, q in self.items()]
 
 
 def pairing(chi, s):
@@ -226,21 +200,16 @@ def in_S(psi):
 
 
 def kappa_twist(u, x):
-    """The cyclotomic-unit twist: chi -> chi^u on characters (and virtual
-    characters), s -> s^{u^{-1} mod m} on group elements."""
+    """The cyclotomic-unit twist: chi -> chi^u on characters, s -> s^{u^{-1}
+    mod m} on group elements."""
     u = operator.index(u)
     if isinstance(x, Character):
         _check_unit(u, x.group)
         return x**u
-    if isinstance(x, VirtualCharacter):
-        _check_unit(u, x.group)
-        # chi -> chi^u permutes the characters, so the keys stay distinct
-        twisted = {chi**u: n for chi, n in x.coeffs.items()}
-        return VirtualCharacter._trusted(x.group, twisted)
     if isinstance(x, GroupElement):
         m = _check_unit(u, x.group)
         return x ** pow(u, -1, m)
-    raise TypeError("kappa_twist acts on characters, virtual characters, or group elements")
+    raise TypeError("kappa_twist acts on characters or group elements")
 
 
 def _check_unit(u, group):

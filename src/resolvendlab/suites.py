@@ -63,6 +63,7 @@ from .stickelberger import (
 )
 from .wildsym import (
     WildContext,
+    WildElement,
     WildMonomial,
     conjugate_check,
     omega_action,
@@ -424,8 +425,14 @@ def _wild_pair_rows(p, n):
     ok_alpha = len(alpha.coeffs) == p and all(
         c == Fraction(1, p) for c in alpha.coeffs.values()
     )
+    # omega_j fixes alpha because it sends summand k to summand jk; weights
+    # k + 1 tell the summands apart, read back from ctx.summands
+    tagged = WildElement(p, {mono: k + 1 for k, mono in enumerate(ctx.summands)})
     ok_alpha = ok_alpha and all(
-        omega_action(j, alpha) == alpha for j in ctx.subgroup
+        omega_action(j, alpha) == alpha
+        and omega_action(j, tagged)
+        == WildElement(p, {ctx.summands[j * k % p]: k + 1 for k in range(p)})
+        for j in ctx.subgroup
     )
     yield "alpha:p%d:n%d" % (p, n), "Lemma 5.7", ok_alpha, {
         "p": p,

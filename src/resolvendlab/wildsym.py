@@ -90,9 +90,6 @@ class WildMonomial:
         e = operator.index(e)
         return WildMonomial(tuple((k, v * e) for k, v in self.exponents))
 
-    def inverse(self):
-        return self**-1
-
     def frac_pow(self, q):
         """Exact fractional power; every scaled exponent must be integral."""
         if not self.exponents:
@@ -140,32 +137,12 @@ class WildElement(_SparseCombination):
         return _as_cyclo(coeff, p)
 
     @classmethod
-    def one(cls, p):
-        return cls(p, ((WildMonomial.one(), 1),))
-
-    @classmethod
     def monomial(cls, p, mono, coeff=1):
         """coeff * mono.  One term has nothing to merge, so once p and the
         pair pass the constructor's checks it is stored trusted."""
         p = odd_prime(p)
         coeff = cls._coerce(p, mono, coeff)
         return cls._trusted(p, {mono: coeff} if coeff else {})
-
-    def __mul__(self, other):
-        if isinstance(other, WildElement):
-            if other.p != self.p:
-                raise ValueError("mixed primes %d and %d" % (self.p, other.p))
-            return WildElement(
-                self.p,
-                [
-                    (m1 * m2, c1 * c2)
-                    for m1, c1 in self.coeffs.items()
-                    for m2, c2 in other.coeffs.items()
-                ],
-            )
-        if isinstance(other, WildMonomial):
-            return WildElement(self.p, {m * other: c for m, c in self.coeffs.items()})
-        return NotImplemented
 
     def __str__(self):
         if not self.coeffs:

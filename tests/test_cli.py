@@ -304,6 +304,11 @@ def test_gauss_n_filter(capsys):
             "verify wild --p 7 --product 2 --format json",
             "244fe3f36763e2327225d73e1e957077",
         ),
+        # the largest wild report: every order n | 60 at p = 61
+        (
+            "verify wild --p 61 --format json",
+            "cea16a6b86e29bb1ffa58fcbc2412911",
+        ),
     ],
     ids=[
         "groupring",
@@ -316,6 +321,7 @@ def test_gauss_n_filter(capsys):
         "groupring-15-30",
         "groupring-33",
         "wild-product",
+        "wild-p61",
     ],
 )
 def test_report_bytes_pinned(capsys, argv, digest):

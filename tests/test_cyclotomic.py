@@ -77,14 +77,14 @@ def test_root_of_unity_basics():
 
 def test_compatibility_convention():
     # zeta_6^2 = zeta_3 under the compatible-root convention
-    assert root_of_unity(6, 1) ** 2 == root_of_unity(3, 1).raise_conductor(6)
+    assert root_of_unity(6, 1) * root_of_unity(6, 1) == root_of_unity(3, 1).raise_conductor(6)
     assert root_of_unity(15, 5) == root_of_unity(3, 1).raise_conductor(15)
 
 
 def test_phi5_product():
     prod = CycloElement.one(5)
     for k in range(1, 5):
-        prod = prod * (CycloElement.one(5) - root_of_unity(5, k))
+        prod = prod * CycloElement.from_terms(5, [(1, 0), (-1, k)])
     assert prod.as_rational() == 5
 
 
@@ -114,7 +114,7 @@ def test_field_axioms_random():
             assert (x + y) * z == x * z + y * z
             assert (x * y) * z == x * (y * z)
             assert x + y == y + x
-            assert x - x == CycloElement.zero(m)
+            assert x + x * -1 == CycloElement.zero(m)
 
 
 def test_mixed_conductor_ops():
@@ -122,7 +122,7 @@ def test_mixed_conductor_ops():
     b = root_of_unity(5, 1)
     c = a + b
     assert c.conductor == 15
-    assert c - b.raise_conductor(15) == a.raise_conductor(15)
+    assert c == b.raise_conductor(15) + a.raise_conductor(15)
 
 
 def test_root_collapse():
@@ -182,12 +182,12 @@ def test_rejects_floats():
     with pytest.raises(TypeError):
         CycloElement.one(3) * 0.5
     with pytest.raises(TypeError):
-        CycloElement.one(3) - 0.5
+        CycloElement.one(3) + 0.5
 
 
 def _group_map_value(conductor, value):
     g = FiniteAbelianGroup([3])
-    return GroupMap.constant(g, conductor, value)(g.elements()[0])
+    return GroupMap.from_function(g, conductor, lambda s: value)(g.elements()[0])
 
 
 def _wild_coefficient(conductor, value):
@@ -215,11 +215,10 @@ _PADIC_ONE = PadicCycloElement.one(7, 3)
 
 # (site, the site applied to a value, an integer value, its expected result)
 _INTEGER_SITES = [
-    ("cyclo-pow", lambda k: root_of_unity(7) ** k, 3, root_of_unity(7, 3)),
     ("padic-init", lambda c: PadicCycloElement(7, 3, [c, 0, 0, 0, 0, 0]), 2, 2),
     ("padic-from-int", lambda c: PadicCycloElement.from_int(c, 7, 3), 2, 2),
-    ("padic-sub", lambda c: _PADIC_ONE - c, 1, 0),
-    ("padic-pow", lambda k: PadicCycloElement.zeta_power(7, 3, 1) ** k, 7, 1),
+    ("padic-add", lambda c: _PADIC_ONE + c, 1, 2),
+    ("padic-pow", lambda k: PadicCycloElement(7, 3, [0, 1, 0, 0, 0, 0]) ** k, 7, 1),
     (
         "monomial-init",
         lambda e: WildMonomial({(0, 1): e}),
@@ -309,32 +308,15 @@ def test_integer_parameters_reject_non_integers(apply):
             apply(bad)
 
 
-def test_subtract_scalars():
-    x = CycloElement.from_terms(5, [(2, 1), (1, 0)])
-    z = root_of_unity(5, 1) + root_of_unity(5, 1)
-    assert x - 1 == z
-    assert x - CycloElement.one(5) == z
-    assert 1 - x == -z
-    assert x - Fraction(1, 3) == z + Fraction(2, 3)
-
-
 def test_unhashable():
     with pytest.raises(TypeError):
         hash(CycloElement.one(3))
 
 
-def test_str_and_json():
+def test_repr():
     x = CycloElement.from_rational(Fraction(1, 2), 5) + root_of_unity(5, 1)
-    doc = x.to_json()
-    assert doc[0] == 5
-    assert "z" in str(root_of_unity(5, 1))
-
-
-def test_pow():
-    z = root_of_unity(7, 3)
-    assert z ** 7 == CycloElement.one(7)
-    assert z ** -1 == root_of_unity(7, 4)
-    assert (z + CycloElement.one(7)) ** 0 == CycloElement.one(7)
+    assert repr(x) == str(x) == "1/2+z (conductor 5)"
+    assert repr(root_of_unity(5, 3) * -2) == "-2*z^3 (conductor 5)"
 
 
 _fractions = st.fractions(min_value=-60, max_value=60, max_denominator=36)
@@ -366,7 +348,7 @@ def test_canonical_form_and_views(data):
     _assert_canonical(x)
     reduced = tuple(Fraction(c) for c in vec)
     assert x.coeffs == reduced
-    assert x.to_json() == [m, [[c.numerator, c.denominator] for c in reduced]]
+    assert x.conductor == m
     assert x.is_zero() == (not any(reduced))
 
 
@@ -376,29 +358,13 @@ def test_arithmetic_matches_fraction_reference(data):
     # reference route: one Fraction per coefficient, schoolbook product
     m, (u, v) = data
     x, y = CycloElement(m, u), CycloElement(m, v)
-    total, diff, prod = x + y, x - y, x * y
-    for z in (total, diff, prod, -x, x * Fraction(-3, 4)):
+    total, prod = x + y, x * y
+    for z in (total, prod, x * Fraction(-3, 4)):
         _assert_canonical(z)
     assert total.coeffs == tuple(a + b for a, b in zip(u, v))
-    assert diff.coeffs == tuple(a - b for a, b in zip(u, v))
+    assert x == y + CycloElement(m, [a - b for a, b in zip(u, v)])
     assert prod.coeffs == tuple(_reduce_frac_mod(m, _polymul_frac(list(u), list(v))))
     assert (x * Fraction(-3, 4)).coeffs == tuple(a * Fraction(-3, 4) for a in u)
-
-
-@_property
-@given(_vectors(1))
-def test_pow_matches_repeated_product(data):
-    m, (vec,) = data
-    x = CycloElement(m, vec)
-    expect = CycloElement.one(m)
-    for k in range(10):
-        assert x**k == expect
-        expect = expect * x
-    if not x.is_zero():
-        inv, expect = x.inverse(), CycloElement.one(m)
-        for k in range(1, 4):
-            expect = expect * inv
-            assert x**-k == expect
 
 
 # small coefficients: the inverse of an inverse multiplies conjugates whose

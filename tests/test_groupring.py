@@ -52,10 +52,10 @@ def _random_map(rng, group, conductor):
 
 def test_resolvend_indicator():
     g = FiniteAbelianGroup((9,))
-    a = GroupMap.indicator(g, 9, g.identity())
+    a = GroupMap.from_function(g, 9, lambda s: int(s.is_identity()))
     assert resolvend(a) == GroupRingElement.identity(g, 9)
     s0 = g.element((2,))
-    r = resolvend(GroupMap.indicator(g, 9, s0))
+    r = resolvend(GroupMap.from_function(g, 9, lambda s: int(s is s0)))
     # coefficient sits at s0^{-1}
     assert r(s0.inverse()) == CycloElement.one(9)
     assert r(s0) == CycloElement.zero(9)
@@ -73,14 +73,14 @@ def test_resolvend_roundtrip():
 
 def test_resolvent_orthogonality():
     g = FiniteAbelianGroup((9,))
-    ones = GroupMap.constant(g, 9, CycloElement.one(9))
+    ones = GroupMap.from_function(g, 9, lambda k: CycloElement.one(9))
     for chi in dual_enumerate(g):
         got = resolvent(ones, chi)
         if chi.is_identity():
             assert got.as_rational() == 9
         else:
             assert got.is_zero()
-    point = GroupMap.indicator(g, 9, g.identity())
+    point = GroupMap.from_function(g, 9, lambda s: int(s.is_identity()))
     for chi in dual_enumerate(g):
         assert resolvent(point, chi) == CycloElement.one(9)
 
@@ -89,7 +89,7 @@ def test_resolvent_rejects_a_character_of_another_group():
     # groups are canonical, so a map on Z/3 has no resolvent at a character
     # of Z/9
     g3, g9 = FiniteAbelianGroup((3,)), FiniteAbelianGroup((9,))
-    a = GroupMap.indicator(g3, 3, g3.identity())
+    a = GroupMap.from_function(g3, 3, lambda s: int(s.is_identity()))
     with pytest.raises(ValueError, match="does not live on"):
         resolvent(a, g9.character((1,)))
 
@@ -98,14 +98,15 @@ def test_inverse_transform_examples():
     from resolvendlab.groupring import CharacterVector
 
     g = FiniteAbelianGroup((9,))
-    ones = CharacterVector.constant(g, 9, CycloElement.one(9))
-    assert inverse_transform(ones) == GroupMap.indicator(g, 9, g.identity())
+    ones = CharacterVector.from_function(g, 9, lambda k: CycloElement.one(9))
+    point = GroupMap.from_function(g, 9, lambda s: int(s.is_identity()))
+    assert inverse_transform(ones) == point
     # phi(chi) = chi(s0)^{-1} pulls back to the indicator of s0
     s0 = g.element((4,))
     phi = CharacterVector.from_function(
         g, 9, lambda chi: root_of_unity(9, -char_exponent(g, chi, s0))
     )
-    assert inverse_transform(phi) == GroupMap.indicator(g, 9, s0)
+    assert inverse_transform(phi) == GroupMap.from_function(g, 9, lambda s: int(s is s0))
 
 
 def test_containers_reject_the_other_key_domain():
@@ -180,7 +181,7 @@ def test_involution():
     g = FiniteAbelianGroup((7,))
     assert resolvend(GroupRingElement.identity(g, 7)) == GroupRingElement.identity(g, 7)
     s0 = g.element((3,))
-    r = resolvend(GroupMap.indicator(g, 7, s0))
+    r = resolvend(GroupMap.from_function(g, 7, lambda s: int(s is s0)))
     assert resolvend(r)(s0) == r(s0.inverse())
     rng = random.Random("involution")
     for _ in range(10):
@@ -195,10 +196,10 @@ def test_is_unit():
     g = FiniteAbelianGroup((9,))
     assert is_unit(GroupRingElement.identity(g, 9))
     # constant map vanishes at every nontrivial character
-    const = GroupMap.constant(g, 9, CycloElement.one(9))
+    const = GroupMap.from_function(g, 9, lambda k: CycloElement.one(9))
     assert not is_unit(resolvend(const))
     assert not unit_pair_check(const)
-    assert unit_pair_check(GroupMap.indicator(g, 9, g.identity()))
+    assert unit_pair_check(GroupMap.from_function(g, 9, lambda s: int(s.is_identity())))
 
 
 @pytest.mark.parametrize("literal", ["15", "30"])
@@ -213,7 +214,7 @@ def test_unit_pair_check_takes_each_inverse_pair_once(monkeypatch, literal):
         return real(a, chi)
 
     monkeypatch.setattr(groupring, "resolvent", counting)
-    assert unit_pair_check(GroupMap.indicator(g, g.exponent, g.identity()))
+    assert unit_pair_check(GroupMap.from_function(g, g.exponent, lambda s: int(s.is_identity())))
     self_inverse = sum(chi.inverse() is chi for chi in chars)
     assert len(seen) <= len(chars) + self_inverse
     assert set(seen) == set(chars)
@@ -230,7 +231,7 @@ def test_unit_pair_check_sees_a_zero_at_a_self_inverse_character(monkeypatch):
         value = real(a, chi)
         return value * 0 if chi is order_two else value
 
-    unit = GroupMap.indicator(g, 30, g.identity())
+    unit = GroupMap.from_function(g, 30, lambda s: int(s.is_identity()))
     assert unit_pair_check(unit)
     monkeypatch.setattr(groupring, "resolvent", vanishing)
     assert not unit_pair_check(unit)
@@ -272,7 +273,7 @@ def test_reduced_equal():
 
 def test_reduced_equal_rejects_nonunits():
     g = FiniteAbelianGroup((9,))
-    const = resolvend(GroupMap.constant(g, 9, CycloElement.one(9)))
+    const = resolvend(GroupMap.from_function(g, 9, lambda k: CycloElement.one(9)))
     good = GroupRingElement.identity(g, 9)
     # the unit's transform is held by then, and must not vouch for const
     assert is_unit(good)
@@ -315,7 +316,7 @@ def _assert_product_matches_reference(a, b):
     assert [v.conductor for v in got.values.values()] == [
         v.conductor for v in want.values.values()
     ]
-    assert got.to_json() == want.to_json()
+    assert list(got.values.items()) == list(want.values.items())
 
 
 def _with_zeros(rng, r, share):
@@ -412,7 +413,7 @@ def test_ring_product_makes_no_cyclo_product(monkeypatch):
 def test_ring_product_with_an_all_zero_operand():
     rng = random.Random("lift-zero")
     g = FiniteAbelianGroup((3, 3))
-    zero = GroupRingElement.constant(g, 3, 0)
+    zero = GroupRingElement.from_function(g, 3, lambda k: 0)
     r = resolvend(_random_map(rng, g, 3))
     for a, b in ((zero, r), (r, zero), (zero, zero)):
         _assert_product_matches_reference(a, b)
@@ -466,7 +467,7 @@ def test_every_value_lives_at_its_container_conductor():
     r3 = GroupRingElement(g, 3, {s0: 1, s1: 0, s2: Fraction(-1, 2)})
     phi = CharacterVector(g, 15, {chi0: 2, chi1: root_of_unity(3), chi2: Fraction(1, 2)})
     results = (
-        r, r3, phi, r + r3, -r3, r3 * zeta5, zeta5 * r3, r3 * s1, r * r3, r3 * r,
+        r, r3, phi, r3 * zeta5, zeta5 * r3, r3 * s1, r * r3, r3 * r,
         phi.pointwise_mul(transform(r3)), phi.pointwise_inverse(), transform(r3),
         inverse_transform(phi), resolvend(inverse_transform(phi)),
     )
@@ -480,13 +481,13 @@ def test_every_value_lives_at_its_container_conductor():
             WildMonomial.symbol(2, power=3): 2,
         },
     )
-    for w in (x, x + x, -x, x * x, tau_action(2, x), omega_action(3, x)):
+    for w in (x, tau_action(2, x), omega_action(3, x)):
         assert {c.conductor for c in w.coeffs.values()} == {7}, w
 
 
 def test_containers_share_one_repr():
     g = FiniteAbelianGroup([3])
-    a = GroupMap.indicator(g, 6, g.identity())
+    a = GroupMap.from_function(g, 6, lambda s: int(s.is_identity()))
     assert repr(a) == "GroupMap(FiniteAbelianGroup(3), N=6)"
     assert repr(resolvend(a)) == "GroupRingElement(FiniteAbelianGroup(3), N=6)"
     assert repr(transform(resolvend(a))) == "CharacterVector(FiniteAbelianGroup(3), N=6)"
@@ -496,9 +497,9 @@ def test_containers_carry_no_instance_dict():
     # every _GroupIndexed subclass declares __slots__, so instances hold only
     # the group, conductor and values slots
     g = FiniteAbelianGroup([3])
-    a = GroupMap.indicator(g, 6, g.identity())
+    a = GroupMap.from_function(g, 6, lambda s: int(s.is_identity()))
     r = resolvend(a)
-    for x in (a, r, GroupRingElement.identity(g, 3), transform(r), r + r, r * r):
+    for x in (a, r, GroupRingElement.identity(g, 3), transform(r), r * 2, r * r):
         assert not hasattr(x, "__dict__"), type(x).__name__
 
 
@@ -600,7 +601,7 @@ def test_transform_memo_belongs_to_its_element():
     for s in g.elements():
         want = [base(chi) * root_of_unity(3, char_exponent(g, chi, s)) for chi in dual_enumerate(g)]
         assert list(transform(r * s).values.values()) == want
-    assert list(transform(r + r).values.values()) == [2 * v for v in base.values.values()]
+    assert list(transform(r * 2).values.values()) == [2 * v for v in base.values.values()]
 
 
 def test_a_unit_round_transforms_each_element_once(monkeypatch):

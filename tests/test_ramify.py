@@ -19,8 +19,8 @@ def test_filtration_construction():
     assert f.order(99) == 1
     assert len(f) == 3
     # a single trailing 1 is canonical
-    assert RamificationFiltration((9, 3, 1, 1)) == RamificationFiltration((9, 3, 1))
-    assert RamificationFiltration((1,)) == RamificationFiltration((1, 1))
+    assert RamificationFiltration((9, 3, 1, 1)).orders == RamificationFiltration((9, 3, 1)).orders
+    assert RamificationFiltration((1,)).orders == RamificationFiltration((1, 1)).orders == (1,)
 
 
 def test_filtration_validation():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from resolvendlab import suites
 from resolvendlab.abelian import Character, FiniteAbelianGroup, dual_enumerate
 from resolvendlab.cyclotomic import CycloElement, galois_map, root_of_unity
+from resolvendlab.padic import PadicCycloElement
 from resolvendlab.stickelberger import (
     EquivariantMap,
     RationalGroupElement,
@@ -63,13 +64,13 @@ def test_stickelberger_map_z3():
     g = FiniteAbelianGroup((3,))
     chi = g.character((1,))
     theta = stickelberger_map(VirtualCharacter.single(chi))
-    assert theta[g.element((1,))] == Fraction(1, 3)
-    assert theta[g.element((2,))] == Fraction(-1, 3)
-    assert theta[g.identity()] == 0
+    assert theta.coeffs.get(g.element((1,)), 0) == Fraction(1, 3)
+    assert theta.coeffs.get(g.element((2,)), 0) == Fraction(-1, 3)
+    assert theta.coeffs.get(g.identity(), 0) == 0
     # antisymmetry collapses chi + chi^2
-    psi = VirtualCharacter.single(chi) + VirtualCharacter.single(chi ** 2)
-    assert stickelberger_map(psi).is_zero()
-    assert stickelberger_map(VirtualCharacter.zero(g)).is_zero()
+    psi = VirtualCharacter(g, [(chi, 1), (chi ** 2, 1)])
+    assert stickelberger_map(psi).coeffs == {}
+    assert stickelberger_map(VirtualCharacter(g, {})).coeffs == {}
 
 
 def test_stickelberger_map_rejects_even_order():
@@ -81,7 +82,7 @@ def test_stickelberger_map_rejects_even_order():
 def test_det_and_in_s():
     g = FiniteAbelianGroup((3,))
     chi = g.character((1,))
-    assert in_S(VirtualCharacter.single(chi) - VirtualCharacter.single(chi))
+    assert in_S(VirtualCharacter(g, [(chi, 1), (chi, -1)]))
     psi = VirtualCharacter(g, [(chi, 2), (chi ** 2, 1)])
     assert det_map(psi) == chi  # chi^4 = chi
     assert not in_S(psi)
@@ -231,7 +232,7 @@ def _det_by_characters(psi):
 @given(_virtual_characters())
 def test_det_map_matches_per_character_loop(psi):
     assert det_map(psi) is _det_by_characters(psi)
-    zero = VirtualCharacter.zero(psi.group)
+    zero = VirtualCharacter(psi.group, {})
     assert det_map(zero) is _det_by_characters(zero) is psi.group.character(
         [0] * len(psi.group.invariant_factors)
     )
@@ -241,7 +242,7 @@ def test_det_map_on_the_trivial_group():
     g = FiniteAbelianGroup(())
     (chi,) = dual_enumerate(g)
     assert det_map(VirtualCharacter.single(chi, 3)) is chi
-    assert det_map(VirtualCharacter.zero(g)) is chi
+    assert det_map(VirtualCharacter(g, {})) is chi
 
 
 def test_permute_powers_rejects_a_non_unit():
@@ -258,18 +259,14 @@ def test_permute_powers_rejects_a_non_unit():
 
 @pytest.mark.parametrize("literal", ["7", "13", "3,9"])
 def test_trusted_results_match_the_checked_constructor(literal):
-    # negation, the twist of a virtual character and permute_powers build
-    # their results trusted; the checked constructor on the per-term
-    # definition must give the same combination
+    # permute_powers builds its result trusted; the checked constructor on
+    # the per-term definition must give the same combination
     g = FiniteAbelianGroup.from_literal(literal)
     rng = random.Random("trusted-%s" % literal)
-    chars, elements = dual_enumerate(g), g.elements()
+    elements = g.elements()
     m = g.exponent
     units = [u for u in range(2, m) if _gcd(u, m) == 1]
     for _ in range(20):
-        psi = VirtualCharacter(
-            g, [(rng.choice(chars), rng.randrange(-3, 4)) for _ in range(5)]
-        )
         theta = RationalGroupElement(
             g,
             [
@@ -277,16 +274,7 @@ def test_trusted_results_match_the_checked_constructor(literal):
                 for _ in range(5)
             ],
         )
-        for x in (psi, theta):
-            neg = -x
-            assert neg == type(x)(g, [(k, -c) for k, c in x.coeffs.items()])
-            assert all(neg.coeffs.values()) and (x + neg).is_zero()
-        u = rng.choice(units)
-        twisted = kappa_twist(u, psi)
-        assert twisted == VirtualCharacter(
-            g, [(chi**u, n) for chi, n in psi.coeffs.items()]
-        )
-        e = pow(u, -1, m)
+        e = pow(rng.choice(units), -1, m)
         assert theta.permute_powers(e) == RationalGroupElement(
             g, [(s**e, q) for s, q in theta.coeffs.items()]
         )
@@ -311,8 +299,8 @@ def test_antisymmetry_conjugate():
             g, [(chi, rng.randrange(-4, 5)) for chi in chars]
         )
         psi_bar = VirtualCharacter(g, [(chi.inverse(), n) for chi, n in psi.items()])
-        total = stickelberger_map(psi) + stickelberger_map(psi_bar)
-        assert total.is_zero()
+        theta = stickelberger_map(psi)
+        assert stickelberger_map(psi_bar).coeffs == {s: -q for s, q in theta.coeffs.items()}
 
 
 def test_kappa_twist():
@@ -354,13 +342,6 @@ def test_twist_equivariance():
                 assert twisted == base.permute_powers(pow(u, -1, m))
 
 
-def test_rational_group_element_json():
-    g = FiniteAbelianGroup((3,))
-    theta = stickelberger_map(VirtualCharacter.single(g.character((1,))))
-    doc = theta.to_json()
-    assert [[1], 1, 3] in doc
-
-
 def test_constructors_reject_floats():
     g = FiniteAbelianGroup((3,))
     chi, s = g.character((1,)), g.element((1,))
@@ -375,44 +356,38 @@ def test_combinations_merge_and_cancel():
     chi, s = g.character((1,)), g.element((1,))
     psi = VirtualCharacter(g, [(chi, 2), (chi, -1), (chi**2, 1)])
     assert psi == VirtualCharacter(g, {chi: 1, chi**2: 1})
-    assert (psi - psi).coeffs == {}
+    assert VirtualCharacter(g, [(chi, 1), (chi**2, 1), (chi, -1), (chi**2, -1)]).coeffs == {}
     theta = RationalGroupElement(g, [(s, Fraction(1, 2)), (s, 1)])
-    assert theta[s] == Fraction(3, 2) and type(theta[s]) is Fraction
-    assert (theta + -theta).is_zero()
+    q = theta.coeffs.get(s, 0)
+    assert q == Fraction(3, 2) and type(q) is Fraction
+    assert RationalGroupElement(g, [(s, q), (s, -q)]).coeffs == {}
     assert psi != theta
-    with pytest.raises(TypeError):
-        psi - 3
     x, y = WildMonomial.symbol(1), WildMonomial.symbol(2, power=-1)
     alpha = WildElement(5, [(y, 1), (x, Fraction(1, 2)), (x, root_of_unity(5))])
     assert alpha.coeffs == {x: root_of_unity(5) + Fraction(1, 2), y: CycloElement.one()}
-    assert (alpha - alpha).coeffs == {}
+    negated = [(mono, c * -1) for mono, c in alpha.coeffs.items()]
+    assert WildElement(5, [*alpha.coeffs.items(), *negated]).coeffs == {}
     assert alpha != VirtualCharacter(g, {}) and VirtualCharacter(g, {}) != alpha
     assert [mono for mono, _ in alpha.items()] == [x, y]
 
 
 def test_equivariant_map_basics():
     g = FiniteAbelianGroup((3,))
-    one = CycloElement.one(3)
-    z = root_of_unity(3, 1)
-    gmap = EquivariantMap(g, -1, {s: galois_map_value(z, s) for s in g.elements()})
-    assert gmap(g.identity()) == one
+    # s^k -> zeta_3^{3-k}
+    gmap = EquivariantMap(g, -1, {s: root_of_unity(3, 3 - s.coords[0]) for s in g.elements()})
+    assert gmap(g.identity()) == CycloElement.one(3)
     units = [1, 2]
     assert gmap.check_equivariance(units, galois_map)
-
-
-def galois_map_value(z, s):
-    k = s.coords[0] if s.coords else 0
-    return z ** (3 - k) if k else CycloElement.one(3)
 
 
 def test_transpose_apply_trivial():
     g = FiniteAbelianGroup((3,))
     ones = EquivariantMap(
-        g, -1, {s: CycloElement.one(3) for s in g.elements()}
+        g, -1, {s: WildMonomial.one() for s in g.elements()}
     )
     chi = g.character((1,))
     psi = VirtualCharacter(g, [(chi, 1), (chi ** 2, 1)])
-    assert transpose_apply(ones, psi) == CycloElement.one(3)
+    assert transpose_apply(ones, psi) is WildMonomial.one()
 
 
 def test_transpose_apply_integral_exponents():
@@ -421,15 +396,13 @@ def test_transpose_apply_integral_exponents():
     chi = g.character((1,))
     values = {}
     for s in g.elements():
-        values[s] = root_of_unity(3, rng.randrange(3)) * CycloElement.from_rational(
-            rng.randrange(1, 5), 3
-        )
+        values[s] = WildMonomial.symbol(rng.randrange(1, 5), power=rng.randrange(-3, 4))
     gmap = EquivariantMap(g, -1, values)
     psi = VirtualCharacter(g, [(chi, 1), (chi ** 2, 1)])
     theta = stickelberger_map(psi)
-    expected = CycloElement.one(3)
+    expected = WildMonomial.one()
     for s in g.elements():
-        e = theta[s]
+        e = theta.coeffs.get(s, 0)
         assert e.denominator == 1
         expected = expected * values[s] ** int(e)
     assert transpose_apply(gmap, psi) == expected
@@ -439,18 +412,19 @@ def test_transpose_apply_multiplicative():
     g = FiniteAbelianGroup((3,))
     chi = g.character((1,))
     psi = VirtualCharacter(g, [(chi, 1), (chi ** 2, 1)])
-    values = {s: root_of_unity(3, (2 * s.coords[0]) % 3) for s in g.elements()}
+    values = {s: WildMonomial.symbol(1, power=(2 * s.coords[0]) % 3) for s in g.elements()}
     gmap = EquivariantMap(g, -1, values)
-    double = transpose_apply(gmap, psi + psi)
+    double = transpose_apply(gmap, VirtualCharacter(g, [(chi, 2), (chi ** 2, 2)]))
     assert double == transpose_apply(gmap, psi) * transpose_apply(gmap, psi)
 
 
 def test_transpose_apply_rejects_outside_kernel():
     g = FiniteAbelianGroup((3,))
     chi = g.character((1,))
-    values = {s: CycloElement.from_rational(2, 3) for s in g.elements()}
+    # a p-adic value has integer powers but no fractional ones
+    values = {s: PadicCycloElement.from_int(2, 3, 3) for s in g.elements()}
     gmap = EquivariantMap(g, -1, values)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the determinant kernel"):
         transpose_apply(gmap, VirtualCharacter.single(chi))
 
 
