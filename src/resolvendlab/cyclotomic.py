@@ -13,21 +13,18 @@ Coefficients are integer vectors over one denominator, and from_terms,
 which builds every sum of roots of unity, takes integer terms the same way;
 only the constructor and from_rational read Fractions.  _mul_rows(m, b) is
 the one product kernel: the matrix of multiplication by the integer vector
-b in Q(zeta_m), built column by column from row 0 of the reduction cache,
-so a product is phi(m) integer dot products, already reduced.  It serves
+b in Q(zeta_m), built column by column by _times_zeta, the one
+multiply-by-zeta step, which also builds the reduction cache row by row;
+a product is phi(m) integer dot products, already reduced.  It serves
 CycloElement products and the group-ring product, which passes its
 integral lifts.  _reduce is the one reduction mod Phi_m: it takes integer
 terms (c, e) of a sum of roots of unity or of a dense vector (a transform
 output or a gauss power sum), buckets the exponents mod m (x^m = 1) and
 adds one cached sparse row x^k mod Phi_m per bucket k >= phi(m); there is
-no second reduction loop.  _pack/_unpack, the one fixed-width slot
-packing (short ints unpacked by shift and mask, long ones through bytes),
-serve the padic product and pi-digits and the gauss power sums in
-Z[y]/(Phi_n(y^p)); no product here packs.
-_power is the one square-and-multiply, used by the padic ring and the
-gauss power sums; CycloElement takes no powers.  Inverses are the product
-of the other Galois conjugates over the rational norm, so no arithmetic
-here works on Fraction polynomials.
+no second reduction loop; nothing here packs, and the slot codec of the
+packed kernels (_pack/_unpack) lives in padic.  Inverses are the product of
+the other Galois conjugates over the rational norm, so no arithmetic here
+works on Fraction polynomials.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm
 
 from .numutil import euler_phi, factorize
@@ -58,40 +54,6 @@ def _as_cyclo(value, conductor):
             )
         return value.raise_conductor(conductor)
     return CycloElement.from_rational(value, conductor)
-
-
-def _pack(vec, nbytes):
-    """vec, each entry in [0, 2^(8 nbytes)), in little-endian slots of one int.
-
-    The one slot packing; its users are the padic product and pi_digits and
-    the gauss power sums.  Each entry becomes its nbytes bytes in one map
-    over int.to_bytes, and the joined bytes one int.
-    """
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, vec, repeat(nbytes), repeat("little"))), "little"
-    )
-
-
-_SHIFT_BYTES = 1024  # _unpack reads slots by shift and mask up to this size
-
-
-def _unpack(x, length, nbytes):
-    """The length slots of nbytes bytes of x >= 0, low slot first.
-
-    Up to _SHIFT_BYTES bytes in all, each slot is read off x by one shift
-    and mask.  Each shift copies the rest of x, so the cost grows as
-    length^2; past that size the slots are cut from one to_bytes instead,
-    which is linear.  Raises OverflowError when x < 0 or x has bits above
-    its length slots.
-    """
-    w = 8 * nbytes
-    if x < 0 or x >> (w * length):
-        raise OverflowError("value does not fit %d slots of %d bytes" % (length, nbytes))
-    if length * nbytes <= _SHIFT_BYTES:
-        mask = (1 << w) - 1
-        return [x >> s & mask for s in range(0, w * length, w)]
-    raw = x.to_bytes(length * nbytes, "little")
-    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
 @lru_cache(maxsize=None)
@@ -119,38 +81,33 @@ def cyclotomic_polynomial(m):
     return tuple(poly)
 
 
+def _times_zeta(col, tail):
+    """The dense column col times z mod Phi_m, the one multiply-by-zeta step: col
+    shifted up one place, its top folded back through tail = x^phi mod Phi_m."""
+    top = col[-1]
+    col = [0] + col[:-1]
+    if top:
+        for i, t in tail:
+            col[i] += top * t
+    return col
+
+
 @lru_cache(maxsize=16)
 def _reduction_rows(m):
     """Sparse x^k mod Phi_m, k in [phi(m), m): row k - phi(m) holds the (i, c)
     with c != 0 the coefficient of z^i, i increasing.  Row 0 is x^phi, read off
-    the monic Phi_m; each later row is the one before times x.  m = 1 has no
+    the monic Phi_m; each later row is the one before times z.  m = 1 has no
     rows."""
     if m == 1:
         return ()
     phi = euler_phi(m)
-    tail = tuple((i, -c) for i, c in enumerate(cyclotomic_polynomial(m)[:-1]) if c)
+    col = [-c for c in cyclotomic_polynomial(m)[:-1]]
+    tail = tuple((i, c) for i, c in enumerate(col) if c)
     rows = [tail]
     for _ in range(phi + 1, m):
-        row = {i + 1: c for i, c in rows[-1]}
-        top = row.pop(phi, 0)
-        for i, t in tail:
-            row[i] = row.get(i, 0) + top * t
-        rows.append(tuple(sorted((i, c) for i, c in row.items() if c)))
+        col = _times_zeta(col, tail)
+        rows.append(tuple((i, c) for i, c in enumerate(col) if c))
     return tuple(rows)
-
-
-def _power(base, k, mul):
-    """base ** k for k >= 1 by left-to-right square-and-multiply.
-
-    Starting from base rather than a unit, this costs one squaring per bit
-    of k after the first and one product per further set bit.
-    """
-    result = base
-    for bit in bin(k)[3:]:
-        result = mul(result, result)
-        if bit == "1":
-            result = mul(result, base)
-    return result
 
 
 def _reduce(m, terms):
@@ -186,20 +143,14 @@ def _mul_rows(m, b):
     of z^i in z^j * b, so sum(map(mul, rows[i], a)) is coefficient i of
     a * b mod Phi_m, with no product or reduction left to do.
 
-    Column 0 is b; each later column is the one before times z, shifted
-    up one place with its top coefficient folded back through x^phi mod
-    Phi_m, row 0 of _reduction_rows.
+    Column 0 is b; each later column is the one before times z.
     """
     col = list(b)
     cols = [col]
     if len(col) > 1:
         tail = _reduction_rows(m)[0]
         for _ in range(len(col) - 1):
-            top = col[-1]
-            col = [0] + col[:-1]
-            if top:
-                for i, t in tail:
-                    col[i] += top * t
+            col = _times_zeta(col, tail)
             cols.append(col)
     return tuple(zip(*cols))
 

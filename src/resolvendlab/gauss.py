@@ -28,22 +28,16 @@ import operator
 from functools import lru_cache
 from itertools import count
 
-from .cyclotomic import (
-    CycloElement,
-    _canonical,
-    _mul_rows,
-    _pack,
-    _power,
-    _reduce,
-    _reduction_rows,
-    _unpack,
-)
+from .cyclotomic import CycloElement, _canonical, _mul_rows, _reduce, _reduction_rows
 from .numutil import discrete_log_table, euler_phi, odd_prime
 from .padic import (
     AT_CAP,
     PadicCycloElement,
     PrecisionError,
+    _pack,
+    _power,
     _teichmuller_powers,
+    _unpack,
     embed_cyclo,
     pi_valuation,
 )

@@ -6,21 +6,22 @@ here is that coefficient vector over Z/p^M.  Since pi = zeta - 1 satisfies
 (pi^{p-1}) = (p), coefficient-wise arithmetic mod p^M is exact mod
 pi^{(p-1)M}; valuations below that cap are exact, those at or above it are
 AT_CAP.  Products (folded mod x^p - 1) and pi-digits (a Taylor shift at
-2^w + 1) are one pass each over a big integer packed by cyclotomic._pack
-and read back by cyclotomic._unpack, the slot codec the gauss power sums
-use too; a product's slot width depends only on (p, M) and is cached by
-it.  pi_valuation reads the p-adic level off one gcd of the pi-digits.  No
-cyclotomic product runs here, and only embed_cyclo uses cyclotomic._reduce.
+2^w + 1) are one pass each over a big integer packed by _pack and read back
+by _unpack.  That slot codec and _power, the one square-and-multiply, live
+here and serve the gauss power sums too.  A product's slot width depends
+only on (p, M) and is cached by it.  pi_valuation reads the p-adic level off
+one gcd of the pi-digits.  No cyclotomic product runs here, and only
+embed_cyclo uses cyclotomic._reduce.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, repeat
 from math import gcd
 
-from .cyclotomic import _pack, _power, _reduce, _unpack
+from .cyclotomic import _reduce
 from .numutil import least_primitive_root, odd_prime
 
 
@@ -60,6 +61,55 @@ def _make(p, precision, modulus, coeffs):
     x.modulus = modulus
     x.coeffs = tuple([c % modulus for c in coeffs])
     return x
+
+
+def _pack(vec, nbytes):
+    """vec, each entry in [0, 2^(8 nbytes)), in little-endian slots of one int.
+
+    The one slot packing; its users are the padic product and pi_digits and
+    the gauss power sums.  Each entry becomes its nbytes bytes in one map
+    over int.to_bytes, and the joined bytes one int.
+    """
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, vec, repeat(nbytes), repeat("little"))), "little"
+    )
+
+
+_SHIFT_BYTES = 1024  # _unpack reads slots by shift and mask up to this size
+
+
+def _unpack(x, length, nbytes):
+    """The length slots of nbytes bytes of x >= 0, low slot first.
+
+    Up to _SHIFT_BYTES bytes in all, each slot is read off x by one shift
+    and mask.  Each shift copies the rest of x, so the cost grows as
+    length^2; past that size the slots are cut from one to_bytes instead,
+    which is linear.  Raises OverflowError when x < 0 or x has bits above
+    its length slots.
+    """
+    w = 8 * nbytes
+    if x < 0 or x >> (w * length):
+        raise OverflowError("value does not fit %d slots of %d bytes" % (length, nbytes))
+    if length * nbytes <= _SHIFT_BYTES:
+        mask = (1 << w) - 1
+        return [x >> s & mask for s in range(0, w * length, w)]
+    raw = x.to_bytes(length * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+
+
+def _power(base, k, mul):
+    """base ** k for k >= 1 by left-to-right square-and-multiply.
+
+    Starting from base rather than a unit, this costs one squaring per bit
+    of k after the first and one product per further set bit.
+    """
+    result = base
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
 
 
 @lru_cache(maxsize=256)

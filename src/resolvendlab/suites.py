@@ -232,7 +232,12 @@ def _gauss_shares(shares):
     try:
         for share in shares[1:]:
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:  # the child leaves only through _exit: no atexit, no flush
                 try:
                     try:
@@ -331,12 +336,11 @@ def _box_zero_count(rows, mods, radius):
     return counts[zero]
 
 
-def _box_equivalence(group, radius):
+def _box_equivalence(group, U, C, radius):
     """Exhaustive check that integrality matches kernel membership over the
-    coefficient box [-radius, radius]^|dual|: the integral, the kernel and the
-    joint zero sets are counted, and the first two agree iff all three counts
-    do.  Returns (total, kernel, ok)."""
-    U, C = _pairing_tables(group)
+    coefficient box [-radius, radius]^|dual|, on the _pairing_tables U, C of
+    group: the integral, the kernel and the joint zero sets are counted, and
+    the first two agree iff all three counts do.  Returns (total, kernel, ok)."""
     mod_u = [group.exponent] * len(U[0])
     mod_c = list(group.invariant_factors)
     integral = _box_zero_count(U, mod_u, radius)
@@ -349,7 +353,8 @@ def _stickelberger_rows(literal, seed, trials):
     group = FiniteAbelianGroup.from_literal(literal)
     chars = dual_enumerate(group)
     if group.order <= 9:
-        total, kernel, ok = _box_equivalence(group, _BOX_RADIUS)
+        U, C = _pairing_tables(group)
+        total, kernel, ok = _box_equivalence(group, U, C, _BOX_RADIUS)
         yield "box:%s" % literal, "Prop 3.12", ok, {
             "group": literal,
             "radius": _BOX_RADIUS,
@@ -358,7 +363,6 @@ def _stickelberger_rows(literal, seed, trials):
         }
         # spot-check the table route against the object route
         rng = _case_rng(seed, "crosscheck:%s" % literal)
-        U, _ = _pairing_tables(group)
         m = group.exponent
         agree = True
         for _ in range(25):

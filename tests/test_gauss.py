@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from resolvendlab import gauss, suites
 from resolvendlab.cli import main
-from resolvendlab.cyclotomic import (
-    CycloElement,
-    _pack,
-    _unpack,
-    cyclotomic_polynomial,
-    root_of_unity,
-)
+from resolvendlab.cyclotomic import CycloElement, cyclotomic_polynomial, root_of_unity
 from resolvendlab.gauss import (
     MultiplicativeCharacter,
     ResidueSubgroup,
@@ -29,7 +23,7 @@ from resolvendlab.gauss import (
     verify_translation,
 )
 from resolvendlab.numutil import divisor_list, euler_phi
-from resolvendlab.padic import PadicCycloElement, PrecisionError, teichmuller
+from resolvendlab.padic import PadicCycloElement, PrecisionError, _pack, _unpack, teichmuller
 from resolvendlab.suites import SuiteConfig, run
 from resolvendlab.wildsym import WildContext
 
@@ -193,6 +187,31 @@ def test_an_error_in_any_share_comes_back_unchanged(monkeypatch, capsys, where):
         main(["verify", "gauss", "--pmax", "13"])
     assert type(info.value.__cause__) is ValueError
     assert capsys.readouterr().err == ""
+    _no_children()
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_children(monkeypatch):
+    # at 3 shares the first fork succeeds and the second raises
+    _share_count(monkeypatch, 3)
+    fds, real_pipe, real_fork = [], os.pipe, os.fork
+
+    def pipe():
+        fds.extend(real_pipe())
+        return fds[-2], fds[-1]
+
+    def fork():  # each fork follows its pipe
+        if len(fds) == 4:
+            raise BlockingIOError("fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="fork refused"):
+        run(SuiteConfig(suite="gauss", pmax=13))
+    assert len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     _no_children()
 
 

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvendlab.cyclotomic import _SHIFT_BYTES, CycloElement, _pack, _unpack, root_of_unity
+from resolvendlab.cyclotomic import CycloElement, root_of_unity
 from resolvendlab.numutil import divisor_list, euler_phi, least_primitive_root
 from resolvendlab.padic import (
+    _SHIFT_BYTES,
     AT_CAP,
     PadicCycloElement,
     PrecisionError,
+    _pack,
+    _unpack,
     embed_cyclo,
     pi_valuation,
     teichmuller,

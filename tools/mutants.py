@@ -76,6 +76,8 @@ _PHI_PRODUCT = "tests/test_cyclotomic.py::test_cyclotomic_polynomials_multiply_t
 _TRANSPOSE_GROUP = (
     "tests/test_stickelberger.py::test_transpose_apply_rejects_a_character_of_another_group"
 )
+_TRANSPOSE_INT = "tests/test_stickelberger.py::test_transpose_apply_integral_exponents"
+_TRANSPOSE_MUL = "tests/test_stickelberger.py::test_transpose_apply_multiplicative"
 _UNION = "tests/test_cli.py::test_all_is_the_union_of_the_single_suites"
 _CONFIG_FIRST = "tests/test_cli.py::test_every_config_is_checked_before_any_row"
 _SHARE_BYTES = "tests/test_gauss.py::test_report_bytes_do_not_depend_on_the_share_count"
@@ -110,15 +112,15 @@ MUTANTS = (
     Mutant(
         "rows-index-off-by-one",
         "cyclotomic.py",
-        "row = {i + 1: c for i, c in rows[-1]}",
-        "row = {i + 2: c for i, c in rows[-1]}",
+        "col = [0] + col[:-1]",
+        "col = [0, 0] + col[:-2]",
         (_ROWS, _FROM_TERMS),
     ),
     Mutant(
         "rows-sign-flipped",
         "cyclotomic.py",
-        "row[i] = row.get(i, 0) + top * t",
-        "row[i] = row.get(i, 0) - top * t",
+        "col[i] += top * t",
+        "col[i] -= top * t",
         (_ROWS, _REDUCE),
     ),
     Mutant(
@@ -186,14 +188,14 @@ MUTANTS = (
     ),
     Mutant(
         "unpack-overflow-unchecked",
-        "cyclotomic.py",
+        "padic.py",
         "if x < 0 or x >> (w * length):",
         "if False:",
         (_UNPACK_GUARD,),
     ),
     Mutant(
         "unpack-long-slots-shifted",
-        "cyclotomic.py",
+        "padic.py",
         "for i in range(0, len(raw), nbytes)]",
         "for i in range(nbytes, len(raw) + nbytes, nbytes)]",
         (_ROUND_TRIP,),
@@ -367,6 +369,13 @@ MUTANTS = (
         "if psi.group is not g.group:",
         "if False:",
         (_TRANSPOSE_GROUP,),
+    ),
+    Mutant(
+        "transpose-integer-power-dropped",
+        "stickelberger.py",
+        "v ** int(q)",
+        "v",
+        (_TRANSPOSE_INT, _TRANSPOSE_MUL),
     ),
     Mutant(
         "runner-one-suite-stamp",
